@@ -17,9 +17,9 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, InvalidLength, NoBracket
-from .extremal import b_coefficients, shape
-from .modforms import eisenstein_e4, h_series, theta1
-from .series import FracSeries, euler_scaled, linear_combine, mul, power
+from .extremal import _theta_bracket, b_coefficients, shape
+from .modforms import eisenstein_e4, h_series
+from .series import FracSeries, mul, power
 
 
 @dataclass
@@ -168,17 +168,6 @@ def _sigma3(m: int) -> int:
     return sigma3(m)
 
 
-def _bracket_series(k: int, T) -> FracSeries:
-    """theta1*E4' - theta1'*E4 on the integer grid (exact)."""
-    e4 = eisenstein_e4(T)
-    th1 = theta1(k, T)
-    shifted = linear_combine(
-        mul(th1, euler_scaled(e4)), mul(euler_scaled(th1), e4), 1, -1
-    )
-    # divide by t: constant term of the shifted combination is zero
-    return FracSeries(1, shifted.T - 1, shifted.coeffs[1:])
-
-
 def predicted_ratio_limit(sd: SaddleData, check_j: int = 30) -> mp.mpf:
     """Limit of |b_{2(mu+2)} / b_{2(mu+1)}| predicted by the saddle data.
 
@@ -209,8 +198,9 @@ def _direct_g_ratio(j: int, t0: mp.mpf, T: int) -> mp.mpf:
     """G2(t0)/G1(t0) from full exact product series, no cancellation."""
     k, nu = 1, 0
     e4 = eisenstein_e4(T)
-    th1 = theta1(k, T)
-    core = mul(mul(power(th1, j - 1), _bracket_series(k, T)), h_series(T))
+    # the bracket carries a factor t, which cancels in the ratio
+    bracket, th1 = _theta_bracket(k, T)
+    core = mul(mul(power(th1, j - 1), bracket), h_series(T))
     g1 = mul(power(e4, 2 - nu), core)
     g2 = mul(power(e4, 5 - nu), core)
     return eval_series(g2, t0) / eval_series(g1, t0)
@@ -221,8 +211,9 @@ def log_g1(n: int, k: int, sd: SaddleData, T: int = 160):
     j, _, nu = shape(n)
     with mp.workdps(sd.digits + 10):
         t0 = sd.t0
-        th1_val = eval_series(theta1(k, T), t0)
-        br_val = eval_series(_bracket_series(k, T), t0)
+        bracket, th1 = _theta_bracket(k, T)
+        th1_val = eval_series(th1, t0)
+        br_val = eval_series(bracket, t0) / t0
         e4_val = eval_e4(t0)
         h_val = eval_series(h_series(T), t0)
         sign = mp.sign(br_val)

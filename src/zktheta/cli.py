@@ -50,6 +50,14 @@ def _tabular(args, header, rows, jsonable):
     return _emit_text(header, rows)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_e4(args) -> str:
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="zktheta")
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default="text")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for sweeps (results identical)")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RangeError, SearchExhausted, TooLarge
+from .errors import InvalidModulus, RangeError, SearchExhausted, TooLarge
 from .modforms import theta_f
 from .series import FracSeries, mul, power
 
@@ -283,7 +283,7 @@ def search_c8(k: int, seed: int = 0, budget: int = 200_000) -> LinearCode:
     full verify_type2 before being returned; deterministic for fixed seed.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidModulus(f"k must be >= 1, got {k}")
     if k in _DATABASE:
         code = _standard_form(k, _DATABASE[k])
         if verify_type2(code).is_type2:

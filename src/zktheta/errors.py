@@ -29,6 +29,15 @@ class InvalidLength(ZkThetaError):
     """Code/lattice length is not a positive multiple of 8."""
 
 
+# bad arguments: also ValueErrors, so callers catching ValueError still work
+class InvalidModulus(ZkThetaError, ValueError):
+    """k < 1, so there is no ring Z_2k."""
+
+
+class InvalidRange(ZkThetaError, ValueError):
+    """A range of lengths with its upper end below its lower end."""
+
+
 class PrecisionTooSmall(ZkThetaError):
     """Requested truncation too small for the requested coefficients."""
 

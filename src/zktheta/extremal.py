@@ -2,9 +2,11 @@
 
 The chain is: theta0 = theta1^j is the theta series of the sublattice
 sqrt(2k)*Z^n inside the Construction A lattice; b_{2s} are the coefficients
-of E4^{-j} * theta0 expanded in powers of u = Delta / E4^3; the putative
-extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and its
-forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)}
+of E4^{-j} * theta0 expanded in powers of u = Delta / E4^3.  Matching
+psi = theta1 / E4 against powers of u once gives G_k, the b-list of n = 8;
+since substituting u is a ring map, the b-list of n = 8j is G_k^j.  The
+putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and
+its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)}
 decide existence.  Everything here is exact integer arithmetic.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidLength, PrecisionTooSmall
+from .errors import InvalidLength, InvalidRange, PrecisionTooSmall
 from .modforms import delta24, eisenstein_e4, theta1, theta_f
 from .series import (
     FracSeries,
@@ -87,86 +89,44 @@ class PositivityReport:
 
 
 # ---------------------------------------------------------------------------
-# raw-list helpers (hot path: plain int lists on the integer grid)
-# ---------------------------------------------------------------------------
-
-def _mul_trunc(a: list, b: list, ns: int) -> list:
-    """Truncated Cauchy product of raw coefficient lists."""
-    out = [0] * ns
-    if len(a) > len(b):
-        a, b = b, a
-    for ea in range(min(len(a), ns)):
-        ca = a[ea]
-        if ca:
-            lim = min(len(b), ns - ea)
-            for eb in range(lim):
-                cb = b[eb]
-                if cb:
-                    out[ea + eb] += ca * cb
-    return out
-
-
-def _u_coeffs(ns: int) -> list:
-    """u = Delta / E4^3 as a raw list (u = t - 744 t^2 + ...)."""
-    e4inv = invert(eisenstein_e4(ns))
-    u = mul(delta24(ns), power(e4inv, 3))
-    c = list(u.coeffs) + [0] * (ns - len(u.coeffs))
-    return c[:ns]
-
-
-def _u_powers(ns: int, count: int) -> list:
-    """[u^0, u^1, ..., u^(count-1)] as raw lists of length ns."""
-    pows = [[1] + [0] * (ns - 1)]
-    if count > 1:
-        u = _u_coeffs(ns)
-        for _ in range(1, count):
-            pows.append(_mul_trunc(pows[-1], u, ns))
-    return pows
-
-
-def _phi_coeffs(n: int, k: int, ns: int) -> list:
-    """phi = (theta1 * E4^{-1})^j as a raw list of length ns."""
-    j = n // 8
-    psi = mul(theta1(k, ns), invert(eisenstein_e4(ns)))
-    phi = power(psi, j)
-    c = list(phi.coeffs) + [0] * (ns - len(phi.coeffs))
-    return c[:ns]
-
-
-def _extract_b(phi: list, upows: list, count: int) -> list:
-    """Peel off b_{2s} by coefficient matching against powers of u.
-
-    Valid because u = t + O(t^2): after subtracting b_{2r} u^r for r < s the
-    residual starts at t^s with coefficient b_{2s}.
-    """
-    r = list(phi[:count])
-    b = []
-    for s in range(count):
-        bs = r[s]
-        b.append(bs)
-        if bs:
-            us = upows[s]
-            for e in range(s, count):
-                ce = us[e]
-                if ce:
-                    r[e] -= bs * ce
-    return b
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
+def _g_series(k: int, N: int) -> FracSeries:
+    """G_k = sum_s b_{2s}(8, k) x^s, the b-list of n = 8, truncated at x^N.
+
+    Peels psi = theta1 / E4 by coefficient matching against a running power
+    of u = Delta / E4^3: u = t + O(t^2), so after subtracting b_{2r} u^r for
+    r < s the residual starts at t^s with coefficient b_{2s}.
+    """
+    e4inv = invert(eisenstein_e4(N))
+    u = mul(delta24(N), power(e4inv, 3))
+    resid = list(mul(theta1(k, N), e4inv).coeffs)
+    upow = FracSeries.constant(1, N)
+    b = []
+    for s in range(N):
+        bs = resid[s]
+        b.append(bs)
+        if bs:
+            for e, c in upow.nonzero_terms():
+                resid[e] -= bs * c
+        upow = mul(upow, u)
+    return FracSeries(1, N, b)
+
+
 def b_coefficients(n: int, k: int, extra: int = 0) -> list:
-    """b_{2s} for s = 0..mu+extra, by matching against powers of Delta/E4^3."""
+    """b_{2s} for s = 0..mu+extra, read off G_k^(n/8).
+
+    Substituting u = Delta / E4^3 is a ring map, so phi = psi^j expands in
+    powers of u as G_k(u)^j with G_k the b-list of n = 8.
+    """
     _check_length(n)
     if extra < 0:
         raise ValueError("extra must be >= 0")
     _, mu, _ = shape(n)
     count = mu + extra + 1
-    upows = _u_powers(count, count)
-    phi = _phi_coeffs(n, k, count)
-    return _extract_b(phi, upows, count)
+    bpow = power(_g_series(k, count), n // 8)
+    return [bpow.coeff_index(s) for s in range(count)]
 
 
 def b_coefficients_burmann(n: int, k: int, extra: int = 0) -> list:
@@ -281,6 +241,30 @@ def _f_bracket(k: int, i: int, T):
     ), f0
 
 
+def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
+    """(verdict, least coefficient, its exponent) of the certificate series.
+
+    s1 is the integer-grid layer and pis[i-1] the 1/(4k)-grid layer for
+    i = 1..k; see positivity_certificate for the conditions.  The least
+    coefficient is the first minimum over s1 at t^1..t^(mu+1), then the
+    nonzero terms of each pi up to t^(mu+1), in that order.
+    """
+    head = [s1.coeff_index(e) for e in range(1, mu + 2)]
+    min_c = min(head)
+    min_e = Fraction(head.index(min_c) + 1)
+    ok = min_c > 0
+    D = 4 * k
+    for i, pi in enumerate(pis, start=1):
+        window = pi.coeffs[:D * (mu + 1) + 1]
+        # the leading exponent i^2/4k must carry a positive coefficient
+        if pi.coeff_index(i * i) <= 0 or min(window, default=0) < 0:
+            ok = False
+        least = min((c for c in window if c), default=None)
+        if least is not None and least < min_c:
+            min_c, min_e = least, Fraction(window.index(least), D)
+    return ok, min_c, min_e
+
+
 def positivity_certificate(n: int, k: int) -> PositivityReport:
     """Check the positivity that drives the d_E bound at this (n, k).
 
@@ -299,30 +283,11 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
     T = mu + 2
     bracket, th1 = _theta_bracket(k, T)
     s1 = mul(power(th1, j - 1), bracket)
-    min_c = None
-    min_e = None
-    ok = True
-    for e in range(1, mu + 2):
-        c = s1.coeff_index(e)
-        if min_c is None or c < min_c:
-            min_c, min_e = c, Fraction(e)
-        if c <= 0:
-            ok = False
-    D = 4 * k
+    pis = []
     for i in range(1, k + 1):
         brk, f0 = _f_bracket(k, i, T)
-        pi = mul(power(f0, 8 * j - 1), brk)
-        base = i * i  # grid index of the leading exponent i^2/4k
-        if pi.coeff_index(base) <= 0:
-            ok = False
-        limit = D * (mu + 1)
-        for e, c in pi.nonzero_terms():
-            if e > limit:
-                break
-            if min_c is None or c < min_c:
-                min_c, min_e = c, Fraction(e, D)
-            if c < 0:
-                ok = False
+        pis.append(mul(power(f0, 8 * j - 1), brk))
+    ok, min_c, min_e = _positivity(s1, pis, k, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -355,28 +320,35 @@ class ScanResult:
         }
 
 
+def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
+    """chunk(k, run) over ascending runs of ns_list, concatenated in order.
+
+    Each of up to `workers` processes takes one contiguous run; ex.map
+    returns the parts in submission order, so the rows come out sorted by n.
+    """
+    if workers <= 1 or len(ns_list) < 2 * workers:
+        return chunk(k, ns_list)
+    size = (len(ns_list) + workers - 1) // workers
+    runs = [ns_list[i:i + size] for i in range(0, len(ns_list), size)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(chunk, [k] * len(runs), runs))
+    return [r for part in parts for r in part]
+
+
 def _scan_chunk(k: int, ns_list: list) -> list:
-    """beta values for an ascending run of lengths, one psi-multiply per step."""
+    """beta values for an ascending run of lengths; G_k^j steps by one mul."""
     if not ns_list:
         return []
-    mu_max = ns_list[-1] // 24
-    slots = mu_max + 3
-    upows = _u_powers(slots, slots)
-    e4inv = invert(eisenstein_e4(slots))
-    psi = mul(theta1(k, slots), e4inv)
-    psi_c = (list(psi.coeffs) + [0] * slots)[:slots]
+    g = _g_series(k, ns_list[-1] // 24 + 3)
     j = ns_list[0] // 8
-    phi = power(psi, j)
-    phi_c = (list(phi.coeffs) + [0] * slots)[:slots]
+    bpow = power(g, j)
     rows = []
-    prev_n = ns_list[0]
     for n in ns_list:
-        while prev_n < n:
-            phi_c = _mul_trunc(phi_c, psi_c, slots)
-            prev_n += 8
+        while 8 * j < n:
+            bpow = mul(bpow, g)
+            j += 1
         _, mu, nu = shape(n)
-        b = _extract_b(phi_c, upows, mu + 3)
-        beta1, beta2 = _betas_from_b(b, mu, nu)
+        beta1, beta2 = _betas_from_b(bpow.coeffs, mu, nu)
         rows.append(ScanRow(n=n, beta1=beta1, beta2=beta2))
     return rows
 
@@ -390,17 +362,9 @@ def crossover_scan(k: int, n_from: int, n_to: int,
     """
     _check_length(n_from)
     if n_to < n_from:
-        raise ValueError("empty range")
-    ns_list = list(range(n_from, n_to + 1, 8))
-    if workers <= 1 or len(ns_list) < 2 * workers:
-        rows = _scan_chunk(k, ns_list)
-    else:
-        size = (len(ns_list) + workers - 1) // workers
-        chunks = [ns_list[i:i + size] for i in range(0, len(ns_list), size)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_scan_chunk, [k] * len(chunks), chunks))
-        rows = [r for part in parts for r in part]
-    rows.sort(key=lambda r: r.n)
+        raise InvalidRange(f"empty range {n_from}..{n_to}")
+    rows = _map_chunks(_scan_chunk, k, list(range(n_from, n_to + 1, 8)),
+                       workers)
     first = next((r.n for r in rows if r.beta2 < 0), None)
     return ScanResult(k=k, rows=rows, first_negative=first)
 
@@ -419,64 +383,36 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     step per maintained power; results identical to the per-n operations.
     """
     _check_length(n_max)
-    ns_list = list(range(8, n_max + 1, 8))
-    if workers <= 1 or len(ns_list) < 2 * workers:
-        return _theorem1_chunk(k, ns_list)
-    size = (len(ns_list) + workers - 1) // workers
-    chunks = [ns_list[i:i + size] for i in range(0, len(ns_list), size)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(_theorem1_chunk, [k] * len(chunks), chunks))
-    rows = [r for part in parts for r in part]
-    rows.sort(key=lambda r: r.n)
-    return rows
+    return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
+                       workers)
 
 
 def _theorem1_chunk(k: int, ns_list: list) -> list:
     if not ns_list:
         return []
-    mu_max = ns_list[-1] // 24
-    slots = mu_max + 3
+    T = ns_list[-1] // 24 + 2
+    j = ns_list[0] // 8
     # beta1 track
-    upows = _u_powers(slots, slots)
-    e4inv = invert(eisenstein_e4(slots))
-    psi = mul(theta1(k, slots), e4inv)
-    psi_c = (list(psi.coeffs) + [0] * slots)[:slots]
-    j0 = ns_list[0] // 8
-    phi_c = (list(power(psi, j0).coeffs) + [0] * slots)[:slots]
+    g = _g_series(k, T)
+    bpow = power(g, j)
     # positivity track, integer grid part
-    T = mu_max + 2
     bracket, th1 = _theta_bracket(k, T)
-    th1pow = power(th1, j0 - 1)
+    th1pow = power(th1, j - 1)
     # positivity track, 1/(4k) grid part
-    fparts = []
-    for i in range(1, k + 1):
-        brk, f0 = _f_bracket(k, i, T)
-        fparts.append(brk)
+    fparts = [_f_bracket(k, i, T)[0] for i in range(1, k + 1)]
     f0 = theta_f(k, 0, T)
-    f0pow = power(f0, 8 * j0 - 1)
+    f0pow = power(f0, 8 * j - 1)
     f0_step = power(f0, 8)
     rows = []
-    prev_n = ns_list[0]
     for n in ns_list:
-        while prev_n < n:
-            phi_c = _mul_trunc(phi_c, psi_c, slots)
+        while 8 * j < n:
+            bpow = mul(bpow, g)
             th1pow = mul(th1pow, th1)
             f0pow = mul(f0pow, f0_step)
-            prev_n += 8
-        _, mu, nu = shape(n)
-        b = _extract_b(phi_c, upows, mu + 2)
-        beta1 = -b[mu + 1]
-        ok = True
-        s1 = mul(th1pow, bracket)
-        for e in range(1, mu + 2):
-            if s1.coeff_index(e) <= 0:
-                ok = False
-        limit = 4 * k * (mu + 1)
-        for i, brk in enumerate(fparts, start=1):
-            pi = mul(f0pow, brk)
-            if pi.coeff_index(i * i) <= 0:
-                ok = False
-            if any(c < 0 for e, c in pi.nonzero_terms() if e <= limit):
-                ok = False
-        rows.append(Theorem1Row(n=n, beta1=beta1, positivity=ok))
+            j += 1
+        _, mu, _ = shape(n)
+        ok = _positivity(mul(th1pow, bracket),
+                         [mul(f0pow, brk) for brk in fparts], k, mu)[0]
+        rows.append(Theorem1Row(n=n, beta1=-bpow.coeffs[mu + 1],
+                                positivity=ok))
     return rows

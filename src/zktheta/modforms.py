@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GridViolation, IndexOutOfRange
+from .errors import GridViolation, IndexOutOfRange, InvalidModulus
 from .series import FracSeries, invert, mul, power
 
 
@@ -78,6 +78,8 @@ def theta_f(k: int, i: int, T) -> FracSeries:
     which share the same series).  This single-class normalization is the
     one that makes swe_C8(f_0, ..., f_k) = E4 come out exactly.
     """
+    if k < 1:
+        raise InvalidModulus(f"k must be >= 1, got {k}")
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"theta index {i} outside 0..{k}")
     T = Fraction(T)
@@ -100,8 +102,6 @@ def theta1(k: int, T) -> FracSeries:
     coefficient off the integer grid would be a bug (GridViolation).
     The coefficient of t^m counts x in Z^8 with k * sum(x_i^2) = m.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     th8 = power(theta_f(k, 0, T), 8)
     try:
         return th8.regrid(1)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,36 @@ def test_domain_error_exit_1(capsys):
     rc, out, err = invoke(capsys, "extremal", "--n", "7", "--k", "1")
     assert rc == 1
     assert "InvalidLength" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("extremal", "--n", "24", "--k", "0"), 1),
+    (("crossover", "--k", "0", "--from", "8", "--to", "16"), 1),
+    (("theorem1", "--k", "0", "--nmax", "16"), 1),
+    (("crossover", "--k", "1", "--from", "8", "--to", "4"), 1),
+    (("--workers", "0", "crossover", "--k", "1", "--from", "8", "--to", "16"),
+     2),
+    (("--workers", "-3", "theorem1", "--k", "1", "--nmax", "16"), 2),
+])
+def test_bad_input_one_line_error(argv, code, capsys):
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == code
+    assert out == ""
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        assert "--workers" in err
+
+
+def test_python_m_zktheta():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zktheta", "e4", "--terms", "5"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "1 240 2160 6720 17520\n"
 
 
 @pytest.mark.parametrize("argv", [

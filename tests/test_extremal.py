@@ -1,9 +1,11 @@
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import extremal_excess
 from zktheta.errors import InvalidLength, PrecisionTooSmall
 from zktheta.extremal import (
     b_coefficients,
@@ -218,6 +220,9 @@ def test_crossover_scan_matches_direct_profiles():
     for row in res.rows:
         p = profile(row.n, 2)
         assert (row.beta1, row.beta2) == (p.beta1, p.beta2)
+        # the scan and profile share the G_k path; the definition oracle
+        # shares no code with zktheta
+        assert (row.beta1, row.beta2) == extremal_excess(row.n, [2])[2]
 
 
 def test_crossover_scan_worker_determinism():
@@ -234,7 +239,8 @@ def test_crossover_k1_first_negative_beta2():
     # test_crossover_scan_no_sign_change_small (8..480) and acceptance
     # criterion 5 (4800..5608); the rest of 8..10144 only by offline exact
     # scans (see CHANGES.md), which make 10152 the earliest k=1 length
-    res = crossover_scan(1, 10120, 10192, workers=8)
+    res = crossover_scan(1, 10120, 10192,
+                         workers=min(8, os.cpu_count() or 1))
     assert res.first_negative == 10152
     signs = {r.n: r.beta2 > 0 for r in res.rows}
     assert signs[10144] and not signs[10152] and signs[10160]
