@@ -1,9 +1,12 @@
-"""Saddle-point data for the b-coefficient asymptotics.
+"""Saddle-point data for the b-coefficient asymptotics, from closed forms.
 
-F(y) = e^(2*pi*y) * h(e^(-2*pi*y)) with h = prod (1-t^r)^(-24); the
-stationary point y0 and the constants c1 = F(y0), c2 = F''(y0)/F(y0) feed
-the growth law b_{2(mu+1)} ~ -2*pi*j*c2^(-1/2)*mu^(-3/2)*G1(t0)*c1^mu and
-the limiting ratio c1 * E4(t0)^3 of successive forced tail coefficients.
+With t = e^(-2*pi*y), F(y) = e^(2*pi*y) * h(t) = 1/Delta(t), where
+h = prod (1-t^r)^(-24).  d/dy log F = 2*pi*E2(iy), so the stationary point
+y0 is the zero of E2 on the imaginary axis (El Basraoui-Sebbar), and
+Ramanujan's t*dE2/dt = (E2^2 - E4)/12 gives c2 = F''(y0)/F(y0) =
+pi^2*E4(t0)/3; c1 = F(y0) = 1/Delta(t0).  These feed the growth law
+b_{2(mu+1)} ~ -2*pi*j*c2^(-1/2)*mu^(-3/2)*G1(t0)*c1^mu and the limiting
+ratio c1 * E4(t0)^3 = j(i*y0) of successive forced tail coefficients.
 
 High-precision numerics only; the exact-arithmetic counterpart lives in
 the extremal module and the two are compared, never conflated.
@@ -16,10 +19,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, InvalidLength, NoBracket
+from .errors import DomainError, InvalidLength
 from .extremal import _theta_bracket, b_coefficients, shape
-from .modforms import eisenstein_e4, h_series
-from .series import FracSeries, mul, power
+from .modforms import h_series
+from .series import FracSeries
 
 
 @dataclass
@@ -72,57 +75,27 @@ def eval_F(y, digits: int = 30) -> mp.mpf:
 
 
 def find_saddle(digits: int = 30) -> SaddleData:
-    """Locate the stationary point of F in (0.05, 1.0).
+    """The stationary point y0 of F and the constants c1, c2 there.
 
-    Central differences at step 10^(-digits/3) for F', bisection on the
-    sign change then secant polish; NoBracket if the scan finds no sign
-    change (which would falsify the whole setup).
+    d/dy log F = 2*pi*E2(iy), so y0 is the zero of E2 on the imaginary
+    axis; Newton from y = 1/2 uses dE2/dy = -pi*(E2^2 - E4)/6 (Ramanujan).
+    At y0, c1 = F(y0) and c2 = F''(y0)/F(y0) = pi^2*E4(t0)/3.  The fields
+    are kept at digits + 10 working digits, so all `digits` of them hold.
     """
     if digits < 15:
         raise ValueError("digits must be >= 15")
-    with mp.workdps(3 * digits):
-        h = mp.mpf(10) ** (-(digits // 3))
-
-        def fp(y):
-            return (_F(y + h) - _F(y - h)) / (2 * h)
-
-        lo, hi = mp.mpf("0.05"), mp.mpf("1.0")
-        grid = [lo + (hi - lo) * i / 19 for i in range(20)]
-        vals = [fp(y) for y in grid]
-        bracket = None
-        for (y1, v1), (y2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if v1 < 0 <= v2:
-                bracket = (y1, v1, y2, v2)
-                break
-        if bracket is None:
-            raise NoBracket("F' has no sign change in (0.05, 1.0)")
-        a, fa, b, fb = bracket
-        for _ in range(mp.mp.dps * 4):
-            mid = (a + b) / 2
-            fm = fp(mid)
-            if fm < 0:
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-            if b - a < mp.mpf(10) ** (-(2 * digits)):
-                break
-        y0 = (a + b) / 2
-        for _ in range(6):  # secant polish on the difference quotient
-            f0, f1 = fp(y0), fp(y0 + h)
-            slope = (f1 - f0) / h
-            if slope == 0:
-                break
-            step = f0 / slope
-            if abs(step) < mp.mpf(10) ** (-(2 * digits)):
-                break
-            y0 -= step
+    with mp.workdps(digits + 10):
+        tol = mp.mpf(10) ** (-(digits + 5))
+        y0, step = mp.mpf(1) / 2, 1
+        while abs(step) >= tol:
+            t0 = mp.e ** (-2 * mp.pi * y0)
+            e2 = eval_e2(t0)
+            step = 6 * e2 / (mp.pi * (e2 ** 2 - eval_e4(t0)))
+            y0 += step
         t0 = mp.e ** (-2 * mp.pi * y0)
-        c1 = _F(y0)
-        fpp = (_F(y0 + h) - 2 * c1 + _F(y0 - h)) / (h * h)
-        c2 = fpp / c1
-        R = _product_cutoff(t0)
-    return SaddleData(y0=+y0, t0=+t0, c1=+c1, c2=+c2,
-                      digits=digits, h_terms=R)
+        return SaddleData(y0=y0, t0=t0, c1=_F(y0),
+                          c2=mp.pi ** 2 * eval_e4(t0) / 3,
+                          digits=digits, h_terms=_product_cutoff(t0))
 
 
 # ---------------------------------------------------------------------------
@@ -143,67 +116,38 @@ def eval_series(series: FracSeries, t: mp.mpf) -> mp.mpf:
     return acc
 
 
-def eval_e4(t: mp.mpf, terms: int = 0) -> mp.mpf:
-    """E4 at a numeric point; term count grown until the tail is negligible."""
-    eps = mp.mpf(10) ** (-(mp.mp.dps + 2))
-    acc = mp.mpf(1)
+def _lambert(t: mp.mpf, p: int) -> mp.mpf:
+    """sum_{m>=1} m^p t^m / (1 - t^m), until a term is below the working eps."""
+    acc = mp.mpf(0)
     m = 1
     while True:
-        term = 240 * _sigma3(m) * t ** m
+        term = m ** p * t ** m / (1 - t ** m)
         acc += term
-        # sigma3(m) < 1.21 m^3, and m^3 t^m decays monotonically for
-        # m > 3/log(1/t); crude geometric majorant for the tail
-        if term < eps and m > 4 / mp.log(1 / t):
-            tail = 240 * 1.21 * (m ** 3) * t ** (m + 1) / (1 - t) ** 4
-            if tail < eps:
-                break
+        if term < mp.eps * acc:
+            return acc
         m += 1
-        if terms and m > terms:
-            break
-    return acc
 
 
-def _sigma3(m: int) -> int:
-    from .modforms import sigma3
-    return sigma3(m)
+def eval_e2(t: mp.mpf) -> mp.mpf:
+    """E2 = 1 - 24 * sum sigma_1(m) t^m at a numeric point."""
+    return 1 - 24 * _lambert(t, 1)
 
 
-def predicted_ratio_limit(sd: SaddleData, check_j: int = 30) -> mp.mpf:
+def eval_e4(t: mp.mpf) -> mp.mpf:
+    """E4 = 1 + 240 * sum sigma_3(m) t^m at a numeric point."""
+    return 1 + 240 * _lambert(t, 3)
+
+
+def predicted_ratio_limit(sd: SaddleData) -> mp.mpf:
     """Limit of |b_{2(mu+2)} / b_{2(mu+1)}| predicted by the saddle data.
 
     The ratio of the two G-factors collapses to E4(t0)^3 once the shared
-    theta/derivative/h factors cancel; returns c1 * E4(t0)^3.  The
-    cancellation is machine-checked: the same ratio is evaluated from the
-    full uncancelled products at finite j (default 30, nu = 0, k = 1) and
-    must agree to 1e-8.
+    theta/derivative/h factors cancel, so the limit is c1 * E4(t0)^3,
+    which is j(i*y0) since c1 = 1/Delta(t0).  Kept at sd.digits + 10
+    working digits, like the saddle data.
     """
     with mp.workdps(sd.digits + 10):
-        t0 = sd.t0
-        limit = sd.c1 * eval_e4(t0) ** 3
-        direct_prev = None
-        for T in (160, 320, 640):
-            direct = _direct_g_ratio(check_j, t0, T)
-            if direct_prev is not None and abs(direct / direct_prev - 1) < mp.mpf("1e-12"):
-                break
-            direct_prev = direct
-        if abs(direct / (eval_e4(t0) ** 3) - 1) > mp.mpf("1e-8"):
-            raise ArithmeticError(
-                "uncancelled G2/G1 disagrees with E4(t0)^3: "
-                f"{direct} vs {eval_e4(t0) ** 3}"
-            )
-    return +limit
-
-
-def _direct_g_ratio(j: int, t0: mp.mpf, T: int) -> mp.mpf:
-    """G2(t0)/G1(t0) from full exact product series, no cancellation."""
-    k, nu = 1, 0
-    e4 = eisenstein_e4(T)
-    # the bracket carries a factor t, which cancels in the ratio
-    bracket, th1 = _theta_bracket(k, T)
-    core = mul(mul(power(th1, j - 1), bracket), h_series(T))
-    g1 = mul(power(e4, 2 - nu), core)
-    g2 = mul(power(e4, 5 - nu), core)
-    return eval_series(g2, t0) / eval_series(g1, t0)
+        return sd.c1 * eval_e4(sd.t0) ** 3
 
 
 def log_g1(n: int, k: int, sd: SaddleData, T: int = 160):
@@ -235,19 +179,6 @@ def asymptotic_b(n: int, k: int, sd: SaddleData) -> mp.mpf:
         logmag = (mp.log(2 * mp.pi * j) - mp.log(sd.c2) / 2
                   - mp.mpf(3) / 2 * mp.log(mu) + lg1 + mu * mp.log(sd.c1))
         val = -sign * mp.e ** logmag
-    return +val
-
-
-def asymptotic_b_naive(n: int, k: int, sd: SaddleData) -> mp.mpf:
-    """Same estimate without the log-domain trick (small n only)."""
-    j, mu, _ = shape(n)
-    if mu < 1:
-        raise InvalidLength("asymptotic form needs mu >= 1 (n >= 24)")
-    sign, lg1 = log_g1(n, k, sd)
-    with mp.workdps(sd.digits + 10):
-        g1 = sign * mp.e ** lg1
-        val = -2 * mp.pi * j * sd.c2 ** mp.mpf("-0.5") * mp.mpf(mu) ** mp.mpf("-1.5") \
-            * g1 * sd.c1 ** mu
     return +val
 
 

@@ -58,6 +58,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _digits(text: str) -> int:
+    """argparse type for a working precision, which must be >= 15 digits."""
+    value = int(text)
+    if value < 15:
+        raise argparse.ArgumentTypeError(f"must be >= 15, got {value}")
+    return value
+
+
+def _int_list(text: str) -> list:
+    """argparse type for comma-separated integers."""
+    return [int(x) for x in text.split(",")]
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_e4(args) -> str:
@@ -125,8 +138,7 @@ def _cmd_asymptotics(args) -> str:
 
 
 def _cmd_ratio(args) -> str:
-    ns = [int(x) for x in args.n_list.split(",")]
-    rows = asymptotics.ratio_report(args.k, ns)
+    rows = asymptotics.ratio_report(args.k, args.n_list)
     if args.format == "json":
         return _emit_json({"k": args.k,
                            "rows": [r.to_jsonable() for r in rows]})
@@ -168,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("e4", help="E4 q-expansion coefficients")
-    sp.add_argument("--terms", type=int, required=True)
+    sp.add_argument("--terms", type=_positive_int, required=True)
     sp.set_defaults(func=_cmd_e4)
 
     sp = sub.add_parser("extremal", help="extremal profile for one (n, k)")
@@ -189,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_theorem1)
 
     sp = sub.add_parser("asymptotics", help="saddle data and ratio limit")
-    sp.add_argument("--digits", type=int, default=30)
+    sp.add_argument("--digits", type=_digits, default=30)
     sp.set_defaults(func=_cmd_asymptotics)
 
     sp = sub.add_parser("ratio", help="exact tail-coefficient ratio table")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n-list", required=True,
+    sp.add_argument("--n-list", type=_int_list, required=True,
                     help="comma-separated lengths")
     sp.set_defaults(func=_cmd_ratio)
 

@@ -54,9 +54,5 @@ class SearchExhausted(ZkThetaError):
     """Randomized code search hit its trial budget without success."""
 
 
-class NoBracket(ZkThetaError):
-    """Root bracket for the saddle equation shows no sign change."""
-
-
 class DomainError(ZkThetaError):
     """Numeric function evaluated outside its domain."""

@@ -58,13 +58,7 @@ def delta24(T) -> FracSeries:
 def h_series(T) -> FracSeries:
     """h = prod_{r>=1} (1 - t^r)^(-24) = t/Delta; all coefficients positive."""
     T = Fraction(T)
-    prod = FracSeries.constant(1, T)
-    m = 1
-    while m < T:
-        factor = FracSeries.from_terms(1, T, {0: 1, m: -1})
-        prod = mul(power(factor, 24), prod)
-        m += 1
-    return invert(prod)
+    return invert(FracSeries(1, T, delta24(T + 1).coeffs[1:]))
 
 
 def theta_f(k: int, i: int, T) -> FracSeries:

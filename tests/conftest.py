@@ -113,6 +113,37 @@ def extremal_excess(n: int, ks):
     return out
 
 
+def uncancelled_g_ratio(t0):
+    """G2(t0)/G1(t0) from the full exact product series, no cancellation.
+
+    G1 = E4^2 * core and G2 = E4^5 * core with core = theta1^(j-1) *
+    (theta bracket) * h at j = 30, k = 1, nu = 0; the product cutoff T
+    doubles from 160 until two values agree to 1e-12.  Equals E4(t0)^3 when
+    the shared factors cancel as the asymptotics assume.
+    """
+    import mpmath as mp
+
+    from zktheta.asymptotics import eval_series
+    from zktheta.extremal import _theta_bracket
+    from zktheta.modforms import eisenstein_e4, h_series
+    from zktheta.series import mul, power
+
+    j = 30
+    with mp.workdps(40):
+        prev = None
+        for T in (160, 320, 640):
+            # the bracket carries a factor t, which cancels in the ratio
+            bracket, th1 = _theta_bracket(1, T)
+            core = mul(mul(power(th1, j - 1), bracket), h_series(T))
+            e4 = eisenstein_e4(T)
+            ratio = (eval_series(mul(power(e4, 5), core), t0)
+                     / eval_series(mul(power(e4, 2), core), t0))
+            if prev is not None and abs(ratio / prev - 1) < mp.mpf("1e-12"):
+                break
+            prev = ratio
+        return ratio
+
+
 @pytest.fixture(scope="session")
 def r8_counts():
     return brute_force_r8(12)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 import conftest
-from conftest import extremal_excess
+from conftest import extremal_excess, uncancelled_g_ratio
 from zktheta.asymptotics import eval_F, find_saddle, predicted_ratio_limit, ratio_report
 from zktheta.codes import search_c8, theta_cosets, theta_substitution, verify_type2
 from zktheta.extremal import (
@@ -163,7 +163,10 @@ def test_criterion_7_saddle_data(tmp_path):
     with mp.workdps(45):
         y = mp.mpf("1.3")
         feq = abs(eval_F(1 / y, 40) / (y ** -12 * eval_F(y, 40)) - 1) < mp.mpf("1e-9")
-    limit = predicted_ratio_limit(sd)  # raises if the two paths split > 1e-8
+    limit = predicted_ratio_limit(sd)
+    # limit / c1 = E4(t0)^3 against the uncancelled finite-j G2/G1
+    direct = uncancelled_g_ratio(sd.t0)
+    two_paths = abs(direct / (limit / sd.c1) - 1) < mp.mpf("1e-8")
     close = abs(limit / 164000 - 1) < mp.mpf("0.05")
     if not close:
         # mandatory written discrepancy report with the exact-ratio trend
@@ -176,11 +179,11 @@ def test_criterion_7_saddle_data(tmp_path):
             f"computed limit {mp.nstr(limit, 12)} vs quoted 1.64e5\n"
             + "\n".join(lines) + "\n")
         degraded = report.exists()
-    ok = stationary and basic and feq and (close or degraded)
+    ok = stationary and basic and feq and two_paths and (close or degraded)
     record(7, ok,
            f"saddle y0={mp.nstr(sd.y0, 10)}, |F'(y0)|/F(y0)<1e-12: {stationary}, "
            f"functional eq: {feq}, limit {mp.nstr(limit, 8)} vs 1.64e5 "
-           f"(within 5%: {close})")
+           f"(within 5%: {close}), uncancelled G2/G1 within 1e-8: {two_paths}")
 
 
 def test_criterion_8_property_suites():

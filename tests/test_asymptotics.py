@@ -3,13 +3,14 @@ import random
 import mpmath as mp
 import pytest
 
+from conftest import uncancelled_g_ratio
 from zktheta.asymptotics import (
     asymptotic_b,
-    asymptotic_b_naive,
     eval_F,
     eval_e4,
     eval_series,
     find_saddle,
+    log_g1,
     predicted_ratio_limit,
     ratio_report,
 )
@@ -63,16 +64,36 @@ def test_saddle_invariants(sd):
 
 def test_saddle_location(sd):
     assert abs(sd.y0 - mp.mpf("0.5235217")) < mp.mpf("1e-6")
-    # stored fields are rounded to the caller's precision; consistency
-    # between them holds to that rounding
+    # the stored fields carry 40 digits; this difference is taken at the
+    # default 15
     assert abs(sd.t0 - mp.e ** (-2 * mp.pi * sd.y0)) < mp.mpf("1e-15")
 
 
 def test_saddle_digit_doubling(sd):
+    # find_saddle(d) agrees with find_saddle(2d) to d digits
     hi = find_saddle(60)
-    assert abs(hi.y0 - sd.y0) < mp.mpf("1e-12")
-    assert abs(hi.c1 - sd.c1) < mp.mpf("1e-12") * sd.c1
-    assert abs(hi.c2 - sd.c2) < mp.mpf("1e-10") * sd.c2
+    with mp.workdps(70):
+        assert abs(hi.y0 - sd.y0) < mp.mpf("1e-12")
+        assert abs(hi.c1 - sd.c1) < mp.mpf("1e-12") * sd.c1
+        assert abs(hi.c2 - sd.c2) < mp.mpf("1e-10") * sd.c2
+        pairs = [(hi.y0, sd.y0), (hi.t0, sd.t0), (hi.c1, sd.c1),
+                 (hi.c2, sd.c2),
+                 (predicted_ratio_limit(hi), predicted_ratio_limit(sd))]
+        for a, b in pairs:
+            assert abs(a / b - 1) < mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("d", [30, 60])
+def test_saddle_digits_vs_F_oracle(d):
+    # eval_F alone, at 3d working digits: F'(y0) by a central difference
+    # of step 10^-d, and F(y0) against c1
+    sd = find_saddle(d)
+    with mp.workdps(3 * d):
+        h = mp.mpf(10) ** -d
+        fp = (eval_F(sd.y0 + h, 3 * d) - eval_F(sd.y0 - h, 3 * d)) / (2 * h)
+        f0 = eval_F(sd.y0, 3 * d)
+        assert abs(fp) / f0 < mp.mpf(10) ** -d
+        assert abs(f0 / sd.c1 - 1) < mp.mpf(10) ** -d
 
 
 def test_eval_series_matches_polynomial(sd):
@@ -83,9 +104,10 @@ def test_eval_series_matches_polynomial(sd):
 
 
 def test_ratio_limit_two_paths(sd):
-    # the check inside predicted_ratio_limit raises if the uncancelled
-    # finite-j ratio strays beyond 1e-8 of E4(t0)^3
+    # limit / c1 is E4(t0)^3, the uncancelled finite-j ratio G2/G1 at t0
     limit = predicted_ratio_limit(sd)
+    direct = uncancelled_g_ratio(sd.t0)
+    assert abs(direct / (limit / sd.c1) - 1) < mp.mpf("1e-8")
     assert abs(limit / mp.mpf("1.64e5") - 1) < mp.mpf("0.05")
 
 
@@ -105,9 +127,15 @@ def test_asymptotic_b_needs_mu(sd):
 
 
 def test_asymptotic_b_log_vs_naive(sd):
-    a = asymptotic_b(48, 1, sd)
-    b = asymptotic_b_naive(48, 1, sd)
-    assert abs(a / b - 1) < mp.mpf("1e-10")
+    # the growth law evaluated directly, without the log domain
+    n, k = 48, 1
+    j, mu, _ = shape(n)
+    sign, lg1 = log_g1(n, k, sd)
+    with mp.workdps(sd.digits + 10):
+        naive = (-2 * mp.pi * j * sd.c2 ** mp.mpf("-0.5")
+                 * mp.mpf(mu) ** mp.mpf("-1.5") * sign * mp.e ** lg1
+                 * sd.c1 ** mu)
+    assert abs(asymptotic_b(n, k, sd) / naive - 1) < mp.mpf("1e-10")
 
 
 def test_asymptotic_relative_error_shrinks(sd):

@@ -134,6 +134,7 @@ def test_domain_error_exit_1(capsys):
     assert "InvalidLength" in err
 
 
+# in the exit-2 cases the first option is the offending one
 @pytest.mark.parametrize("argv,code", [
     (("extremal", "--n", "24", "--k", "0"), 1),
     (("crossover", "--k", "0", "--from", "8", "--to", "16"), 1),
@@ -142,6 +143,10 @@ def test_domain_error_exit_1(capsys):
     (("--workers", "0", "crossover", "--k", "1", "--from", "8", "--to", "16"),
      2),
     (("--workers", "-3", "theorem1", "--k", "1", "--nmax", "16"), 2),
+    (("e4", "--terms", "0"), 2),
+    (("e4", "--terms", "-2"), 2),
+    (("asymptotics", "--digits", "5"), 2),
+    (("ratio", "--n-list", "24,x", "--k", "1"), 2),
 ])
 def test_bad_input_one_line_error(argv, code, capsys):
     rc, out, err = invoke(capsys, *argv)
@@ -151,7 +156,8 @@ def test_bad_input_one_line_error(argv, code, capsys):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
     else:
-        assert "--workers" in err
+        option = next(a for a in argv if a.startswith("--"))
+        assert f"argument {option}:" in err
 
 
 def test_python_m_zktheta():
