@@ -42,9 +42,7 @@ def _emit_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tabular(args, header, rows, jsonable):
-    if args.format == "json":
-        return _emit_json(jsonable)
+def _tabular(args, header, rows):
     if args.format == "csv":
         return _emit_csv(header, rows)
     return _emit_text(header, rows)
@@ -92,7 +90,7 @@ def _cmd_extremal(args) -> str:
     header = ["n", "k", "j", "mu", "nu", "beta1", "beta2"]
     rows = [(prof.n, prof.k, prof.j, prof.mu, prof.nu,
              str(prof.beta1), str(prof.beta2))]
-    return _tabular(args, header, rows, None)
+    return _tabular(args, header, rows)
 
 
 def _cmd_crossover(args) -> str:
@@ -105,7 +103,7 @@ def _cmd_crossover(args) -> str:
              1 if r.beta2 > 0 else (-1 if r.beta2 < 0 else 0))
             for r in res.rows]
     rows.append(("first_negative", "", res.first_negative))
-    return _tabular(args, header, rows, None)
+    return _tabular(args, header, rows)
 
 
 def _cmd_theorem1(args) -> str:
@@ -122,7 +120,7 @@ def _cmd_theorem1(args) -> str:
     header = ["n", "beta1_positive", "positivity"]
     out = [(r.n, r.beta1 > 0, r.positivity) for r in rows]
     out.append(("all_pass", ok, ""))
-    return _tabular(args, header, out, None)
+    return _tabular(args, header, out)
 
 
 def _cmd_asymptotics(args) -> str:
@@ -134,7 +132,7 @@ def _cmd_asymptotics(args) -> str:
         return _emit_json(payload)
     header = ["field", "value"]
     rows = sorted(payload.items())
-    return _tabular(args, header, rows, None)
+    return _tabular(args, header, rows)
 
 
 def _cmd_ratio(args) -> str:
@@ -145,7 +143,7 @@ def _cmd_ratio(args) -> str:
     header = ["n", "ratio", "threshold", "margin"]
     out = [(r.n, mp.nstr(r.ratio, 20), r.threshold, mp.nstr(r.margin, 20))
            for r in rows]
-    return _tabular(args, header, out, None)
+    return _tabular(args, header, out)
 
 
 def _cmd_code_verify(args) -> str:
@@ -156,7 +154,7 @@ def _cmd_code_verify(args) -> str:
         return _emit_json(rep.to_jsonable())
     header = ["self_dual", "all_weights_div_4k", "d_E", "is_type2"]
     rows = [(rep.self_dual, rep.all_weights_div_4k, rep.d_E, rep.is_type2)]
-    return _tabular(args, header, rows, None)
+    return _tabular(args, header, rows)
 
 
 def _cmd_code_search(args) -> str:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidLength, InvalidRange, PrecisionTooSmall
+from .errors import (GridViolation, InvalidLength, InvalidRange,
+                     PrecisionTooSmall)
 from .modforms import delta24, eisenstein_e4, theta1, theta_f
 from .series import (
     FracSeries,
@@ -233,36 +234,69 @@ def _theta_bracket(k: int, T):
 
 
 def _f_bracket(k: int, i: int, T):
-    """4k * t * (f0 * f_i' - f0' * f_i) on the 1/(4k) grid (exact ints)."""
+    """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B.
+
+    f0 lives on t^Z and f_i on the coset i^2/4k + Z, so the bracket, formed
+    on the 1/(4k) grid, sits on that coset too: r = i^2 mod 4k and B, its
+    slots r, r + 4k, ..., is an integer-grid series of exact ints.  A
+    nonzero coefficient off the coset raises GridViolation.
+    """
+    D = 4 * k
     f0 = theta_f(k, 0, T)
     fi = theta_f(k, i, T)
-    return linear_combine(
-        mul(f0, euler_scaled(fi)), mul(euler_scaled(f0), fi), 1, -1
-    ), f0
+    brk = linear_combine(mul(f0, euler_scaled(fi)),
+                         mul(euler_scaled(f0), fi), 1, -1)
+    r = i * i % D
+    if any(any(brk.coeffs[s::D]) for s in range(D) if s != r):
+        raise GridViolation(f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
+    return r, FracSeries(1, T, brk.coeffs[r::D])
+
+
+def _certificate_factors(k: int, T):
+    """theta1, its bracket and (r_i, f0^7 * B_i) for i = 1..k, all on t^Z.
+
+    f0^(8j-1) = theta1^(j-1) * f0^7, so every certificate layer at n = 8j
+    is theta1^(j-1) times one of these.
+    """
+    bracket, th1 = _theta_bracket(k, T)
+    f07 = power(theta_f(k, 0, T).regrid(1), 7)
+    brks = [_f_bracket(k, i, T) for i in range(1, k + 1)]
+    return th1, bracket, [(r, mul(f07, b)) for r, b in brks]
 
 
 def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
     """(verdict, least coefficient, its exponent) of the certificate series.
 
-    s1 is the integer-grid layer and pis[i-1] the 1/(4k)-grid layer for
-    i = 1..k; see positivity_certificate for the conditions.  The least
-    coefficient is the first minimum over s1 at t^1..t^(mu+1), then the
-    nonzero terms of each pi up to t^(mu+1), in that order.
+    s1 is the integer-grid layer; (r, pi) = pis[i-1] is the layer
+    t^(r/4k) * pi for i = 1..k, whose exponents <= mu + 1 are pi's slots
+    0..mu+1 if r = 0, else 0..mu (conditions: positivity_certificate).  The
+    least coefficient is the first minimum over s1 at t^1..t^(mu+1), then
+    the nonzero terms of each pi's window, in that order.
     """
     head = [s1.coeff_index(e) for e in range(1, mu + 2)]
     min_c = min(head)
     min_e = Fraction(head.index(min_c) + 1)
     ok = min_c > 0
     D = 4 * k
-    for i, pi in enumerate(pis, start=1):
-        window = pi.coeffs[:D * (mu + 1) + 1]
+    for i, (r, pi) in enumerate(pis, start=1):
+        window = pi.coeffs[:mu + 2 if r == 0 else mu + 1]
         # the leading exponent i^2/4k must carry a positive coefficient
-        if pi.coeff_index(i * i) <= 0 or min(window, default=0) < 0:
+        if pi.coeff_index(i * i // D) <= 0 or min(window, default=0) < 0:
             ok = False
         least = min((c for c in window if c), default=None)
         if least is not None and least < min_c:
-            min_c, min_e = least, Fraction(window.index(least), D)
+            min_c = least
+            min_e = Fraction(window.index(least) * D + r, D)
     return ok, min_c, min_e
+
+
+def _certify(th1pow: FracSeries, factors, k: int, mu: int):
+    """_positivity of theta1^(j-1) times each fixed factor, cut at mu + 2."""
+    _, bracket, fparts = factors
+    T = mu + 2
+    return _positivity(mul(th1pow, bracket.truncate(T)),
+                       [(r, mul(th1pow, f.truncate(T))) for r, f in fparts],
+                       k, mu)
 
 
 def positivity_certificate(n: int, k: int) -> PositivityReport:
@@ -273,21 +307,15 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
         t-exponent 1..mu+1 must carry a strictly positive coefficient
         (this is the series the proof needs positive up to exponent mu).
       * for each i = 1..k, the scaled combination
-        4k * t * f0^(8j-1) * (f0 f_i' - f0' f_i) on the 1/(4k) grid:
-        no coefficient with exponent <= mu+1 may be negative, and the
-        leading exponent i^2/(4k) must be positive.  Exponents absent from
-        the underlying lattice sum carry coefficient zero and do not fail
-        the certificate.
+        4k * t * f0^(8j-1) * (f0 f_i' - f0' f_i), which lives on the coset
+        i^2/4k + Z: no coefficient with exponent <= mu+1 may be negative,
+        and the leading exponent i^2/(4k) must be positive.  Exponents
+        absent from the underlying lattice sum carry coefficient zero and
+        do not fail the certificate.
     """
     j, mu, nu = shape(n)
-    T = mu + 2
-    bracket, th1 = _theta_bracket(k, T)
-    s1 = mul(power(th1, j - 1), bracket)
-    pis = []
-    for i in range(1, k + 1):
-        brk, f0 = _f_bracket(k, i, T)
-        pis.append(mul(power(f0, 8 * j - 1), brk))
-    ok, min_c, min_e = _positivity(s1, pis, k, mu)
+    factors = _certificate_factors(k, mu + 2)
+    ok, min_c, min_e = _certify(power(factors[0], j - 1), factors, k, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -379,8 +407,9 @@ class Theorem1Row:
 def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     """beta1 > 0 plus positivity certificate for all n = 0 mod 8 up to n_max.
 
-    Incremental over j so the whole sweep costs one series multiply per
-    step per maintained power; results identical to the per-n operations.
+    Incremental over j: each step multiplies G_k^j and theta1^(j-1) by one
+    more factor, and each length costs k + 1 products with the fixed
+    certificate factors; results identical to the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -388,6 +417,11 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
 
 
 def _theorem1_chunk(k: int, ns_list: list) -> list:
+    """Theorem1Row for an ascending run of lengths, all on the integer grid.
+
+    f0^(8j-1) = theta1^(j-1) * f0^7: theta1^(j-1) is the only running power
+    of the certificate, times factors fixed per chunk.
+    """
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 2
@@ -395,24 +429,18 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     # beta1 track
     g = _g_series(k, T)
     bpow = power(g, j)
-    # positivity track, integer grid part
-    bracket, th1 = _theta_bracket(k, T)
+    # positivity track
+    factors = _certificate_factors(k, T)
+    th1 = factors[0]
     th1pow = power(th1, j - 1)
-    # positivity track, 1/(4k) grid part
-    fparts = [_f_bracket(k, i, T)[0] for i in range(1, k + 1)]
-    f0 = theta_f(k, 0, T)
-    f0pow = power(f0, 8 * j - 1)
-    f0_step = power(f0, 8)
     rows = []
     for n in ns_list:
         while 8 * j < n:
             bpow = mul(bpow, g)
             th1pow = mul(th1pow, th1)
-            f0pow = mul(f0pow, f0_step)
             j += 1
         _, mu, _ = shape(n)
-        ok = _positivity(mul(th1pow, bracket),
-                         [mul(f0pow, brk) for brk in fparts], k, mu)[0]
+        ok = _certify(th1pow, factors, k, mu)[0]
         rows.append(Theorem1Row(n=n, beta1=-bpow.coeffs[mu + 1],
                                 positivity=ok))
     return rows

@@ -3,7 +3,8 @@
 A :class:`FracSeries` stores coefficients of t^(e/D) for integer e >= 0 on a
 dense grid, with everything below an explicit truncation T kept exactly.
 Coefficients are Python ints whenever possible and ``fractions.Fraction``
-otherwise; no floating point enters anywhere.
+otherwise; no floating point enters anywhere.  Products walk nonzero pairs
+only, so stored zeros cost no arithmetic.
 
 The variable t is q^2 throughout the package.
 """
@@ -56,7 +57,9 @@ class FracSeries:
             coeffs = coeffs[:ns]
         self.D = D
         self.T = T
-        self.coeffs = [_norm(c) for c in coeffs]
+        # the type scan runs in C; only a list holding a Fraction is _norm'ed
+        self.coeffs = ([_norm(c) for c in coeffs]
+                       if Fraction in map(type, coeffs) else list(coeffs))
 
     # -- constructors ------------------------------------------------------
 
@@ -106,9 +109,6 @@ class FracSeries:
         """List of (grid_index, coefficient) with coefficient != 0."""
         return [(e, c) for e, c in enumerate(self.coeffs) if c]
 
-    def is_integral(self) -> bool:
-        return all(not isinstance(c, Fraction) for c in self.coeffs)
-
     # -- grid management ---------------------------------------------------
 
     def regrid(self, D2: int) -> "FracSeries":
@@ -119,29 +119,19 @@ class FracSeries:
         """
         if D2 == self.D:
             return self
-        if D2 % self.D == 0:
-            step = D2 // self.D
-            ns = _slots(D2, self.T)
-            coeffs = [0] * ns
-            for e, c in enumerate(self.coeffs):
-                if c and e * step < ns:
-                    coeffs[e * step] = c
-            return FracSeries(D2, self.T, coeffs)
-        if self.D % D2 == 0:
-            step = self.D // D2
-            ns = _slots(D2, self.T)
-            coeffs = [0] * ns
-            for e, c in enumerate(self.coeffs):
-                if not c:
-                    continue
-                if e % step:
-                    raise GridViolation(
-                        f"coefficient at t^{Fraction(e, self.D)} off grid 1/{D2}"
-                    )
-                if e // step < ns:
-                    coeffs[e // step] = c
-            return FracSeries(D2, self.T, coeffs)
-        raise GridViolation(f"grids 1/{self.D} and 1/{D2} are incompatible")
+        if D2 % self.D and self.D % D2:
+            raise GridViolation(f"grids 1/{self.D} and 1/{D2} are incompatible")
+        ns = _slots(D2, self.T)
+        coeffs = [0] * ns
+        for e, c in self.nonzero_terms():
+            e2, off = divmod(e * D2, self.D)
+            if off:
+                raise GridViolation(
+                    f"coefficient at t^{Fraction(e, self.D)} off grid 1/{D2}"
+                )
+            if e2 < ns:
+                coeffs[e2] = c
+        return FracSeries(D2, self.T, coeffs)
 
     def truncate(self, T) -> "FracSeries":
         T = Fraction(T)
@@ -185,11 +175,7 @@ class FracSeries:
         if not isinstance(other, FracSeries):
             return NotImplemented
         a, b = _align(self, other)
-        la, lb = len(a.coeffs), len(b.coeffs)
-        for e in range(max(la, lb)):
-            if a.coeff_index(e) != b.coeff_index(e):
-                return False
-        return True
+        return a.nonzero_terms() == b.nonzero_terms()
 
     __hash__ = None
 
@@ -266,31 +252,24 @@ def linear_combine(a: FracSeries, b: FracSeries, alpha, beta) -> FracSeries:
 def mul(a: FracSeries, b: FracSeries) -> FracSeries:
     """Exact Cauchy product truncated at min(T_a, T_b).
 
-    Schoolbook over the nonzero terms of the sparser factor; the series in
-    this package are either genuinely dense (where schoolbook is fine at
-    the degrees in scope) or very sparse on a refined grid (where skipping
-    zeros is the whole game).
+    Schoolbook over nonzero pairs: each nonzero term of a meets the nonzero
+    terms of b in ascending order, up to the first whose index sum leaves
+    the window.  Zero slots, such as the padding of a sparse series on a
+    refined grid, are never visited.
     """
     a, b = _align(a, b)
     T = min(a.T, b.T)
     ns = _slots(a.D, T)
     out = [0] * ns
-    ta = a.nonzero_terms()
     tb = b.nonzero_terms()
-    if len(tb) < len(ta):
-        ta, tb = tb, ta
-        outer, inner = b, a
-    else:
-        outer, inner = a, b
-    inner_coeffs = inner.coeffs
-    for ea, ca in ta:
+    for ea, ca in a.nonzero_terms():
         if ea >= ns:
             break
-        lim = min(len(inner_coeffs), ns - ea)
-        for eb in range(lim):
-            cb = inner_coeffs[eb]
-            if cb:
-                out[ea + eb] = out[ea + eb] + ca * cb
+        lim = ns - ea
+        for eb, cb in tb:
+            if eb >= lim:
+                break
+            out[ea + eb] += ca * cb
     return FracSeries(a.D, T, out)
 
 
@@ -346,8 +325,6 @@ def differentiate(a: FracSeries) -> FracSeries:
     ns = _slots(D, T2)
     out = [0] * ns
     for e, c in a.nonzero_terms():
-        if not c:
-            continue
         if e == 0:
             continue
         if e < D:

@@ -144,6 +144,45 @@ def uncancelled_g_ratio(t0):
         return ratio
 
 
+def padded_certificate(n: int, k: int):
+    """(verdict, min_coeff, min_exponent) of the certificate on padded grids.
+
+    Each f-layer 4k*t*(f0*f_i' - f0'*f_i) * f0^(8j-1) is built densely on the
+    1/(4k) grid, with no coset bookkeeping and no use of theta1, and read
+    through every grid index up to 4k*(mu+1); the integer-grid layer is
+    t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions and the order in
+    which the least coefficient is found follow positivity_certificate.
+    """
+    from fractions import Fraction
+
+    from zktheta.extremal import _theta_bracket
+    from zktheta.modforms import theta_f
+    from zktheta.series import euler_scaled, linear_combine, mul, power
+
+    j, mu = n // 8, n // 24
+    T, D = mu + 2, 4 * k
+    bracket, th1 = _theta_bracket(k, T)
+    s1 = mul(power(th1, j - 1), bracket)
+    head = [s1.coeff_index(e) for e in range(1, mu + 2)]
+    min_c = min(head)
+    min_e = Fraction(head.index(min_c) + 1)
+    ok = min_c > 0
+    f0 = theta_f(k, 0, T)
+    f0pow = power(f0, 8 * j - 1)
+    for i in range(1, k + 1):
+        fi = theta_f(k, i, T)
+        brk = linear_combine(mul(f0, euler_scaled(fi)),
+                             mul(euler_scaled(f0), fi), 1, -1)
+        pi = mul(f0pow, brk)
+        window = pi.coeffs[:D * (mu + 1) + 1]
+        if pi.coeff_index(i * i) <= 0 or min(window, default=0) < 0:
+            ok = False
+        least = min((c for c in window if c), default=None)
+        if least is not None and least < min_c:
+            min_c, min_e = least, Fraction(window.index(least), D)
+    return ok, min_c, min_e
+
+
 @pytest.fixture(scope="session")
 def r8_counts():
     return brute_force_r8(12)

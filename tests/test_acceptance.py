@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 import conftest
 from conftest import extremal_excess, uncancelled_g_ratio
@@ -97,6 +98,7 @@ def test_criterion_4_theorem1_certificate():
            f"({elapsed:.0f}s, failures: {bad or 'none'})")
 
 
+@pytest.mark.slow
 def test_criterion_5_crossover_window():
     # Exact scans find beta2 > 0 on every length of [4800, 5608] for each k.
     # The definition oracle, itself checked on E8 (14 weight-4 words of the

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import extremal_excess
-from zktheta.errors import InvalidLength, PrecisionTooSmall
+from conftest import extremal_excess, padded_certificate
+from zktheta import extremal
+from zktheta.errors import GridViolation, InvalidLength, PrecisionTooSmall
 from zktheta.extremal import (
+    _positivity,
     b_coefficients,
     b_coefficients_burmann,
     beta_stars,
@@ -20,7 +22,13 @@ from zktheta.extremal import (
     theorem1_sweep,
 )
 from zktheta.modforms import theta1, theta_f
-from zktheta.series import euler_scaled, linear_combine, mul, power
+from zktheta.series import (
+    FracSeries,
+    euler_scaled,
+    linear_combine,
+    mul,
+    power,
+)
 
 
 def test_shape():
@@ -124,6 +132,68 @@ def test_positivity_report_fields():
     rep = positivity_certificate(48, 2)
     assert rep.max_exponent == 2
     assert rep.min_coeff > 0
+
+
+def test_positivity_matches_padded_oracle():
+    # the coset form against the dense 1/(4k)-grid construction
+    for k in range(1, 7):
+        for n in range(8, 241, 8):
+            rep = positivity_certificate(n, k)
+            assert (rep.verdict, rep.min_coeff, rep.min_exponent) == \
+                padded_certificate(n, k), (n, k)
+
+
+def test_f_bracket_off_coset_raises(monkeypatch):
+    # an extra t^(2/8) in f_1 at k = 2 puts bracket weight on the coset 2/8,
+    # not on r = 1/8 where f_1 lives
+    real = extremal.theta_f
+
+    def skewed(k, i, T):
+        extra = FracSeries.monomial(1, Fraction(2, 8), T, D=8)
+        return real(k, i, T) + extra if i == 1 else real(k, i, T)
+
+    monkeypatch.setattr(extremal, "theta_f", skewed)
+    with pytest.raises(GridViolation):
+        extremal._f_bracket(2, 1, 4)
+    monkeypatch.undo()
+    assert extremal._f_bracket(2, 1, 4)[0] == 1
+
+
+def _layers(mu, edit=None):
+    """Hand-built positive inputs for _positivity at k = 4 (D = 16).
+
+    The layer i sits on the coset r = i^2 mod 16 (1, 4, 9, 0), with its
+    leading term at slot i^2 // 16 (0, 0, 0, 1); edit maps (i, slot) to a
+    replacement coefficient.
+    """
+    s1 = FracSeries(1, mu + 2, [0] + [5] * (mu + 1))
+    pis = []
+    for i in range(1, 5):
+        coeffs = [7] * (mu + 2)
+        if i == 4:
+            coeffs[0] = 0
+        for (ei, slot), c in (edit or {}).items():
+            if ei == i:
+                coeffs[slot] = c
+        pis.append((i * i % 16, FracSeries(1, mu + 2, coeffs)))
+    return s1, pis
+
+
+def test_positivity_failing_branches():
+    mu = 3
+    assert _positivity(*_layers(mu), 4, mu) == (True, 5, 1)
+    # r = 0: slot mu + 1 is the exponent mu + 1, inside the window
+    assert _positivity(*_layers(mu, {(4, mu + 1): -1}), 4, mu) == \
+        (False, -1, mu + 1)
+    # r = 1: slot mu + 1 is the exponent mu + 1 + 1/16, outside the window
+    assert _positivity(*_layers(mu, {(1, mu + 1): -1}), 4, mu) == \
+        (True, 5, 1)
+    # a non-positive leading coefficient at slot i^2 // 16
+    assert not _positivity(*_layers(mu, {(4, 1): 0}), 4, mu)[0]
+    assert not _positivity(*_layers(mu, {(2, 0): -3}), 4, mu)[0]
+    # the least coefficient's exponent on the coset 9/16 + Z
+    assert _positivity(*_layers(mu, {(3, 2): 2}), 4, mu) == \
+        (True, 2, Fraction(2 * 16 + 9, 16))
 
 
 # -- Eq. (3) value ----------------------------------------------------------
@@ -232,6 +302,7 @@ def test_crossover_scan_worker_determinism():
         [(r.n, r.beta1, r.beta2) for r in par.rows]
 
 
+@pytest.mark.slow
 def test_crossover_k1_first_negative_beta2():
     # checks only 10120..10192: beta2 is positive up to 10144, negative at
     # 10152 and positive again at 10160, so the sign oscillates at onset.
@@ -244,6 +315,13 @@ def test_crossover_k1_first_negative_beta2():
     assert res.first_negative == 10152
     signs = {r.n: r.beta2 > 0 for r in res.rows}
     assert signs[10144] and not signs[10152] and signs[10160]
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_theorem1_sweep_worker_determinism(k):
+    # k = 4 has the integer coset r = 0 (i = 4)
+    assert theorem1_sweep(k, 480, workers=1) == \
+        theorem1_sweep(k, 480, workers=2)
 
 
 def test_theorem1_sweep_matches_per_n_ops():

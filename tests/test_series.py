@@ -189,3 +189,44 @@ def test_leibniz_rule(a, b):
     lhs = differentiate(mul(sa, sb))
     rhs = mul(differentiate(sa), sb) + mul(sa, differentiate(sb))
     assert lhs == rhs
+
+
+# -- mul against the definition of the product -----------------------------
+
+def _naive_product(a, b):
+    """{exponent: coefficient} of a*b summed pair by pair over every stored
+    slot of both factors, kept below min(T_a, T_b); zeros dropped."""
+    T = min(a.T, b.T)
+    out = {}
+    for ea, ca in enumerate(a.coeffs):
+        for eb, cb in enumerate(b.coeffs):
+            x = Fraction(ea, a.D) + Fraction(eb, b.D)
+            if x < T:
+                out[x] = out.get(x, 0) + ca * cb
+    return {x: c for x, c in out.items() if c}
+
+
+sparse_coeff_st = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def sparse_series(draw):
+    """Zero-heavy series on D in {1, 4, 24} with a fractional truncation."""
+    D = draw(st.sampled_from([1, 4, 24]))
+    T = draw(st.fractions(min_value=Fraction(1, 24), max_value=4,
+                          max_denominator=24))
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=4 * D),
+                                 sparse_coeff_st, max_size=10))
+    return FracSeries.from_terms(D, T, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_series(), sparse_series())
+def test_mul_matches_naive_product(a, b):
+    p = mul(a, b)
+    assert p.T == min(a.T, b.T)
+    assert {Fraction(e, p.D): c for e, c in p.nonzero_terms()} == \
+        _naive_product(a, b)
