@@ -14,7 +14,6 @@ the extremal module and the two are compared, never conflated.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,22 +150,16 @@ def predicted_ratio_limit(sd: SaddleData) -> mp.mpf:
         return sd.c1 * eval_e4(sd.t0) ** 3
 
 
-@functools.lru_cache(maxsize=8)
-def _g1_series(k: int, T: int):
-    """(bracket, theta1, h) to t^T for log_g1, built once per (k, T)."""
-    return (*_theta_bracket(k, T), h_series(T))
-
-
 def log_g1(n: int, k: int, sd: SaddleData, T: int = 160):
     """(sign, log|G1(t0)|) for G1 = E4^(2-nu)*theta1^(j-1)*(bracket)*h."""
     j, _, nu = shape(n)
     with mp.workdps(sd.digits + 10):
         t0 = sd.t0
-        bracket, th1, h = _g1_series(k, T)
+        bracket, th1 = _theta_bracket(k, T)
         th1_val = eval_series(th1, t0)
         br_val = eval_series(bracket, t0) / t0
         e4_val = eval_e4(t0)
-        h_val = eval_series(h, t0)
+        h_val = eval_series(h_series(T), t0)
         sign = mp.sign(br_val)
         logv = ((j - 1) * mp.log(th1_val) + mp.log(abs(br_val))
                 + (2 - nu) * mp.log(e4_val) + mp.log(h_val))

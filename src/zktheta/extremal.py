@@ -253,15 +253,15 @@ def _f_bracket(k: int, i: int, T):
 
 
 def _certificate_factors(k: int, T):
-    """theta1, its bracket and (r_i, f0^7 * B_i) for i = 1..k, all on t^Z.
+    """theta1 and (bracket, [(r_i, f0^7 * B_i) for i = 1..k]), all on t^Z.
 
     f0^(8j-1) = theta1^(j-1) * f0^7, so every certificate layer at n = 8j
-    is theta1^(j-1) times one of these.
+    is theta1^(j-1) times the bracket or one of the f0^7 * B_i.
     """
     bracket, th1 = _theta_bracket(k, T)
     f07 = power(theta_f(k, 0, T).regrid(1), 7)
     brks = [_f_bracket(k, i, T) for i in range(1, k + 1)]
-    return th1, bracket, [(r, mul(f07, b)) for r, b in brks]
+    return th1, (bracket, [(r, mul(f07, b)) for r, b in brks])
 
 
 def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
@@ -285,14 +285,13 @@ def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
             ok = False
         least = min((c for c in window if c), default=None)
         if least is not None and least < min_c:
-            min_c = least
-            min_e = Fraction(window.index(least) * D + r, D)
+            min_c, min_e = least, Fraction(window.index(least) * D + r, D)
     return ok, min_c, min_e
 
 
-def _certify(th1pow: FracSeries, factors, k: int, mu: int):
+def _certify(th1pow: FracSeries, cert, k: int, mu: int):
     """_positivity of theta1^(j-1) times each fixed factor, cut at mu + 2."""
-    _, bracket, fparts = factors
+    bracket, fparts = cert
     T = mu + 2
     return _positivity(mul(th1pow, bracket.truncate(T)),
                        [(r, mul(th1pow, f.truncate(T))) for r, f in fparts],
@@ -314,8 +313,8 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
         do not fail the certificate.
     """
     j, mu, nu = shape(n)
-    factors = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e = _certify(power(factors[0], j - 1), factors, k, mu)
+    th1, cert = _certificate_factors(k, mu + 2)
+    ok, min_c, min_e = _certify(power(th1, j - 1), cert, k, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -430,8 +429,7 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     g = _g_series(k, T)
     bpow = power(g, j)
     # positivity track
-    factors = _certificate_factors(k, T)
-    th1 = factors[0]
+    th1, cert = _certificate_factors(k, T)
     th1pow = power(th1, j - 1)
     rows = []
     for n in ns_list:
@@ -440,7 +438,7 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
             th1pow = mul(th1pow, th1)
             j += 1
         _, mu, _ = shape(n)
-        ok = _certify(th1pow, factors, k, mu)[0]
+        ok = _certify(th1pow, cert, k, mu)[0]
         rows.append(Theorem1Row(n=n, beta1=-bpow.coeffs[mu + 1],
                                 positivity=ok))
     return rows

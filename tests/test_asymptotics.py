@@ -5,7 +5,6 @@ import pytest
 
 from conftest import uncancelled_g_ratio
 from zktheta.asymptotics import (
-    _g1_series,
     asymptotic_b,
     eval_F,
     eval_e4,
@@ -137,14 +136,6 @@ def test_asymptotic_b_log_vs_naive(sd):
                  * mp.mpf(mu) ** mp.mpf("-1.5") * sign * mp.e ** lg1
                  * sd.c1 ** mu)
     assert abs(asymptotic_b(n, k, sd) / naive - 1) < mp.mpf("1e-10")
-
-
-def test_log_g1_repeat_calls_agree(sd):
-    # the series behind log_g1 are built once per (k, T) and then reused
-    _g1_series.cache_clear()
-    first = log_g1(480, 3, sd)
-    assert log_g1(480, 3, sd) == first
-    assert _g1_series.cache_info().hits == 1
 
 
 def test_asymptotic_relative_error_shrinks(sd):

@@ -128,6 +128,36 @@ def test_regrid_off_grid_raises():
         a.regrid(1)
 
 
+def test_regrid_between_divisor_grids():
+    a = FracSeries(3, 2, [1, 0, 5, -2, 0, 7])
+    fine = a.regrid(12)
+    assert fine.nonzero_terms() == [(0, 1), (8, 5), (12, -2), (20, 7)]
+    assert fine.regrid(6).nonzero_terms() == [(0, 1), (4, 5), (6, -2), (10, 7)]
+    assert fine.regrid(6).regrid(3).coeffs == a.coeffs
+    with pytest.raises(GridViolation):
+        a.regrid(4)  # neither grid divides the other
+    with pytest.raises(GridViolation):
+        fine.regrid(4)  # t^(2/3) is off the 1/4 grid
+
+
+def test_eq_compares_values_not_storage():
+    assert poly(1, 2, 0, 0) == poly(1, 2)
+    assert poly(1, 2) == poly(1, 0, 0, 0, 2, D=4)
+    assert poly(1, 2) != poly(1, 3)
+    assert poly(1, 2) != poly(1, 2, 1)
+    assert poly(1, 2) != poly(1, 0, 2, D=4)
+
+
+def test_init_normalises_only_fraction_lists():
+    src = [1, 0, -3]
+    a = FracSeries(1, 3, src)
+    src[0] = 9
+    assert a.coeffs == [1, 0, -3]
+    b = FracSeries(1, 3, [Fraction(4, 2), Fraction(1, 3), 5])
+    assert [type(c) for c in b.coeffs] == [int, Fraction, int]
+    assert b.coeffs == [2, Fraction(1, 3), 5]
+
+
 def test_golden_roundtrip():
     a = FracSeries(4, Fraction(7, 2), [1, 0, Fraction(3, 2), 0, -5])
     assert FracSeries.loads(a.dumps()) == a
