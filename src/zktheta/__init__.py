@@ -1,6 +1,6 @@
 """Exact theta-series arithmetic for Type II codes over Z_2k."""
 
-from .series import FracSeries, differentiate, invert, linear_combine, mul, power
+from .series import FracSeries, differentiate, linear_combine, mul, power
 from .modforms import delta24, eisenstein_e4, h_series, sigma3, theta1, theta_f
 from .extremal import (
     ExtremalProfile,

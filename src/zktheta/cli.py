@@ -147,7 +147,7 @@ def _cmd_ratio(args) -> str:
 
 
 def _cmd_code_verify(args) -> str:
-    with open(args.file) as fh:
+    with open(args.file, errors="replace") as fh:
         code = codes.LinearCode.loads(fh.read())
     rep = codes.verify_type2(code)
     if args.format == "json":

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidModulus, RangeError, SearchExhausted, TooLarge
+from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
+                     TooLarge)
 from .modforms import theta_f
 from .series import FracSeries, mul, power
 
@@ -52,12 +53,17 @@ class LinearCode:
 
     @classmethod
     def loads(cls, text: str) -> "LinearCode":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "zcode":
-            raise ValueError("not a zcode file")
-        k, n, r = int(head[1]), int(head[2]), int(head[3])
-        rows = [tuple(int(x) for x in ln.split()) for ln in lines[1:1 + r]]
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        try:
+            magic, k, n, r = lines[0]
+            k, n, r = int(k), int(n), int(r)
+            rows = [tuple(int(x) for x in ln) for ln in lines[1:1 + r]]
+        except (IndexError, ValueError):
+            raise BadCodeFile("expected 'zcode k n r' and integer rows") from None
+        if k < 1:
+            raise InvalidModulus(f"k must be >= 1, got {k}")
+        if magic != "zcode" or len(rows) != r or any(len(x) != n for x in rows):
+            raise BadCodeFile(f"not a zcode file of {r} rows of length {n}")
         return cls(k=k, n=n, rows=tuple(rows))
 
 
@@ -179,14 +185,10 @@ def theta_substitution(code: LinearCode, T) -> FracSeries:
 
     acc = None
     for comp, cnt in sorted(table.counts.items()):
-        term = None
+        term = FracSeries.constant(cnt, T, 4 * k)
         for i, mult in enumerate(comp):
             if mult:
-                fp = fpow(i, mult)
-                term = fp if term is None else mul(term, fp)
-        if term is None:  # length-0 composition cannot occur, but be safe
-            term = FracSeries.constant(1, T, 4 * k)
-        term = term.scale(cnt)
+                term = mul(term, fpow(i, mult))
         acc = term if acc is None else acc + term
     return acc
 

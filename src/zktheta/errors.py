@@ -38,6 +38,10 @@ class InvalidRange(ZkThetaError, ValueError):
     """A range of lengths with its upper end below its lower end."""
 
 
+class BadCodeFile(ZkThetaError, ValueError):
+    """A code file that does not follow the 'zcode k n r' format."""
+
+
 class PrecisionTooSmall(ZkThetaError):
     """Requested truncation too small for the requested coefficients."""
 

@@ -19,12 +19,11 @@ from typing import Optional
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
                      PrecisionTooSmall)
-from .modforms import delta24, eisenstein_e4, theta1, theta_f
+from .modforms import delta24, eisenstein_e4, h_series, theta1, theta_f
 from .series import (
     FracSeries,
     differentiate,
     euler_scaled,
-    invert,
     linear_combine,
     mul,
     power,
@@ -100,9 +99,9 @@ def _g_series(k: int, N: int) -> FracSeries:
     of u = Delta / E4^3: u = t + O(t^2), so after subtracting b_{2r} u^r for
     r < s the residual starts at t^s with coefficient b_{2s}.
     """
-    e4inv = invert(eisenstein_e4(N))
-    u = mul(delta24(N), power(e4inv, 3))
-    resid = list(mul(theta1(k, N), e4inv).coeffs)
+    e4 = eisenstein_e4(N)
+    u = mul(delta24(N), power(e4, -3))
+    resid = list(mul(theta1(k, N), power(e4, -1)).coeffs)
     upow = FracSeries.constant(1, N)
     b = []
     for s in range(N):
@@ -144,17 +143,13 @@ def b_coefficients_burmann(n: int, k: int, extra: int = 0) -> list:
     count = mu + extra + 1
     ns = count + 1  # phi' loses one term
     e4 = eisenstein_e4(ns)
-    psi = mul(theta1(k, ns), invert(e4))
+    psi = mul(theta1(k, ns), power(e4, -1))
     phi = power(psi, n // 8)
     dphi = differentiate(phi)
-    # v = t * E4^3 / Delta; Delta/t has constant term 1
-    delta_over_t = FracSeries(1, ns - 1, delta24(ns).coeffs[1:])
-    v = mul(power(e4, 3), invert(delta_over_t))
+    v = mul(power(e4, 3), h_series(ns - 1))  # t * E4^3 / Delta
     b = [phi.coeff_index(0)]
-    vpow = FracSeries.constant(1, v.T)
     for s in range(1, count):
-        vpow = mul(vpow, v)
-        c = mul(dphi, vpow).coeff_index(s - 1)
+        c = mul(dphi, power(v, s)).coeff_index(s - 1)
         bs = Fraction(c, s)
         if bs.denominator != 1:
             raise ArithmeticError(f"non-integral b at s={s}: {bs}")
@@ -185,26 +180,20 @@ def profile(n: int, k: int) -> ExtremalProfile:
 
 
 def extremal_theta(n: int, k: int, T) -> FracSeries:
-    """sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, truncated at T."""
-    j, mu, nu = shape(n)
+    """sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, truncated at T.
+
+    Summed as E4^j * sum_s b_{2s} u^s with u = Delta * E4^(-3), by Horner.
+    """
+    j, mu, _ = shape(n)
     T = Fraction(T)
     if T <= mu + 2:
         raise PrecisionTooSmall(f"need T > mu+2 = {mu + 2}, got {T}")
-    b = b_coefficients(n, k)
     e4 = eisenstein_e4(T)
-    delta = delta24(T)
-    dpows = [FracSeries.constant(1, T)]
-    for _ in range(mu):
-        dpows.append(mul(dpows[-1], delta))
-    e4cube = power(e4, 3)
-    epow = power(e4, nu)  # E4^(j-3s) at s = mu
-    acc = None
-    for s in range(mu, -1, -1):
-        term = mul(epow, dpows[s]).scale(b[s])
-        acc = term if acc is None else linear_combine(acc, term, 1, 1)
-        if s:
-            epow = mul(epow, e4cube)
-    return acc
+    u = mul(delta24(T), power(e4, -3))
+    acc = FracSeries.constant(0, T)
+    for bs in reversed(b_coefficients(n, k)):
+        acc = mul(acc, u) + bs
+    return mul(power(e4, j), acc)
 
 
 def eq3_value(s: int, k: int, y: int, xs) -> Fraction:

@@ -3,15 +3,16 @@
 All series live in t = q^2: the weight-4 Eisenstein series E4, the
 discriminant form Delta, its reciprocal eta-product h, the theta functions
 f_0..f_k attached to the residue classes of Z_2k, and theta1, the theta
-series of the lattice sqrt(2k)*Z^8.
+series of the lattice sqrt(2k)*Z^8.  Delta = t*P^24 and h = P^(-24)
+come from Euler's pentagonal series P = prod (1 - t^m).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GridViolation, IndexOutOfRange, InvalidModulus
-from .series import FracSeries, invert, mul, power
+from .errors import IndexOutOfRange, InvalidModulus
+from .series import FracSeries, power
 
 
 def sigma3(m: int) -> int:
@@ -41,24 +42,25 @@ def eisenstein_e4(T) -> FracSeries:
     return FracSeries.from_terms(1, T, terms)
 
 
+def _euler(T) -> FracSeries:
+    """Euler's series prod_{m>=1} (1 - t^m) = sum_g (-1)^g t^(g(3g-1)/2),
+    g over all integers (the pentagonal number theorem)."""
+    terms = {}
+    g = 0
+    while g * (3 * g - 1) // 2 < T:
+        terms[g * (3 * g - 1) // 2] = terms[g * (3 * g + 1) // 2] = (-1) ** g
+        g += 1
+    return FracSeries.from_terms(1, T, terms)
+
+
 def delta24(T) -> FracSeries:
     """Delta = t * prod_{m>=1} (1 - t^m)^24, truncated at T."""
-    T = Fraction(T)
-    prod = FracSeries.constant(1, T - 1 if T > 1 else T)
-    m = 1
-    while m < T - 1:
-        factor = FracSeries.from_terms(1, T - 1, {0: 1, m: -1})
-        prod = mul(power(factor, 24), prod)
-        m += 1
-    # shift by one: multiply by t
-    terms = {e + 1: c for e, c in prod.nonzero_terms()}
-    return FracSeries.from_terms(1, T, terms)
+    return FracSeries(1, T, [0] + power(_euler(T), 24).coeffs)
 
 
 def h_series(T) -> FracSeries:
     """h = prod_{r>=1} (1 - t^r)^(-24) = t/Delta; all coefficients positive."""
-    T = Fraction(T)
-    return invert(FracSeries(1, T, delta24(T + 1).coeffs[1:]))
+    return power(_euler(T), -24)
 
 
 def theta_f(k: int, i: int, T) -> FracSeries:
@@ -92,12 +94,8 @@ def theta_f(k: int, i: int, T) -> FracSeries:
 def theta1(k: int, T) -> FracSeries:
     """Theta series of sqrt(2k)*Z^8 on the integer grid.
 
-    Computed as theta_f(k, 0, .)^8 and re-gridded to D = 1; any nonzero
-    coefficient off the integer grid would be a bug (GridViolation).
-    The coefficient of t^m counts x in Z^8 with k * sum(x_i^2) = m.
+    Computed as f_0^8 with f_0 = theta_f(k, 0, .) re-gridded to D = 1 first
+    (GridViolation if a term sat off t^Z).  The coefficient of t^m counts
+    x in Z^8 with k * sum(x_i^2) = m.
     """
-    th8 = power(theta_f(k, 0, T), 8)
-    try:
-        return th8.regrid(1)
-    except GridViolation as exc:  # pragma: no cover - would falsify setup
-        raise GridViolation(f"theta1(k={k}) off integer grid: {exc}") from exc
+    return power(theta_f(k, 0, T).regrid(1), 8)

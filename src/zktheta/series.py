@@ -4,7 +4,8 @@ A :class:`FracSeries` stores coefficients of t^(e/D) for integer e >= 0 on a
 dense grid, with everything below an explicit truncation T kept exactly.
 Coefficients are Python ints whenever possible and ``fractions.Fraction``
 otherwise; no floating point enters anywhere.  Products walk nonzero pairs
-only, so stored zeros cost no arithmetic.
+only, so stored zeros cost no arithmetic.  Powers of any integer exponent
+come from Miller's recurrence; ``power(a, -1)`` is the inverse.
 
 The variable t is q^2 throughout the package.
 """
@@ -274,41 +275,36 @@ def mul(a: FracSeries, b: FracSeries) -> FracSeries:
 
 
 def power(a: FracSeries, m: int) -> FracSeries:
-    """a**m by binary powering; power(a, 0) == 1."""
-    if m < 0:
-        raise ValueError("negative powers: invert first")
-    result = FracSeries.constant(1, a.T, a.D)
-    base = a
-    while m:
-        if m & 1:
-            result = mul(result, base)
-        m >>= 1
-        if m:
-            base = mul(base, base)
-    return result
+    """a**m for any integer m by J. C. P. Miller's recurrence.
 
-
-def invert(a: FracSeries) -> FracSeries:
-    """Multiplicative inverse up to truncation; needs a(0) != 0."""
-    c0 = a.coeff_index(0)
-    if c0 == 0:
-        raise ZeroConstantTerm("cannot invert a series with a(0) = 0")
-    ns = _slots(a.D, a.T)
-    inv0 = 1 if c0 == 1 else Fraction(1, 1) / c0
-    out = [0] * ns
-    out[0] = _norm(inv0)
-    terms = [(e, c) for e, c in a.nonzero_terms() if e > 0]
-    for e in range(1, ns):
+    With a = c * t^(v/D) * (1 + ...), p = a^m / t^(mv/D) satisfies
+    c*s*p_s = sum_{i=1..s} ((m+1)*i - s) * a_{v+i} * p_{s-i}.  Integer a
+    stays integer when m >= 0 or c = +-1, every division exact (else
+    ArithmeticError); otherwise the coefficients are Fractions.
+    """
+    if m == 0:
+        return FracSeries.constant(1, a.T, a.D)
+    terms = a.nonzero_terms()
+    if m < 0 and (not terms or terms[0][0]):
+        raise ZeroConstantTerm("negative power of a series with a(0) = 0")
+    if not terms:
+        return a
+    v, c = terms[0]
+    exact = Fraction not in map(type, a.coeffs) and (m > 0 or c in (1, -1))
+    rel = [(e - v, ce) for e, ce in terms[1:]]
+    p = [_norm(Fraction(c) ** m)]
+    for s in range(1, _slots(a.D, a.T) - m * v):
         acc = 0
-        for ea, ca in terms:
-            if ea > e:
+        for i, ai in rel:
+            if i > s:
                 break
-            ce = out[e - ea]
-            if ce:
-                acc = acc + ca * ce
-        if acc:
-            out[e] = _norm(-acc * inv0) if c0 != 1 else -acc
-    return FracSeries(a.D, a.T, out)
+            acc += ((m + 1) * i - s) * ai * p[s - i]
+        q, rem = divmod(acc, c * s) if exact else (Fraction(acc, c * s), 0)
+        if rem:
+            raise ArithmeticError(f"inexact division at slot {s} of a^{m}")
+        p.append(q)
+    # slots pushed past the truncation by the shift m*v are cut here
+    return FracSeries(a.D, a.T, [0] * (m * v) + p)
 
 
 def differentiate(a: FracSeries) -> FracSeries:

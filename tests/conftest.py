@@ -37,6 +37,24 @@ def brute_force_r8(m_max: int):
     return counts
 
 
+def binary_power(a, m: int):
+    """a^m for m >= 0 by repeated squaring with series.mul.
+
+    Oracle for series.power, which runs Miller's recurrence and shares no
+    code with this.
+    """
+    from zktheta.series import FracSeries, mul
+
+    result = FracSeries.constant(1, a.T, a.D)
+    while m:
+        if m & 1:
+            result = mul(result, a)
+        m >>= 1
+        if m:
+            a = mul(a, a)
+    return result
+
+
 def _trunc_mul(a, b, N):
     """Product of two coefficient lists, cut to N terms."""
     out = [0] * N
@@ -152,23 +170,24 @@ def padded_certificate(n: int, k: int):
     through every grid index up to 4k*(mu+1); the integer-grid layer is
     t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions and the order in
     which the least coefficient is found follow positivity_certificate.
+    Both powers come from binary_power, not from series.power.
     """
     from fractions import Fraction
 
     from zktheta.extremal import _theta_bracket
     from zktheta.modforms import theta_f
-    from zktheta.series import euler_scaled, linear_combine, mul, power
+    from zktheta.series import euler_scaled, linear_combine, mul
 
     j, mu = n // 8, n // 24
     T, D = mu + 2, 4 * k
     bracket, th1 = _theta_bracket(k, T)
-    s1 = mul(power(th1, j - 1), bracket)
+    s1 = mul(binary_power(th1, j - 1), bracket)
     head = [s1.coeff_index(e) for e in range(1, mu + 2)]
     min_c = min(head)
     min_e = Fraction(head.index(min_c) + 1)
     ok = min_c > 0
     f0 = theta_f(k, 0, T)
-    f0pow = power(f0, 8 * j - 1)
+    f0pow = binary_power(f0, 8 * j - 1)
     for i in range(1, k + 1):
         fi = theta_f(k, i, T)
         brk = linear_combine(mul(f0, euler_scaled(fi)),

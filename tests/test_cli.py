@@ -121,6 +121,30 @@ def test_code_verify_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("data,error", [
+    (b"", "BadCodeFile"),
+    (b"\n  \n", "BadCodeFile"),
+    (b"code 1 8 1\n1 0 0 0 0 0 0 0\n", "BadCodeFile"),
+    (b"zcode 1 8\n", "BadCodeFile"),
+    (b"zcode 1 8 x\n", "BadCodeFile"),
+    (b"zcode 1 8 1\n1 0 0 0 0 0 0 y\n", "BadCodeFile"),
+    (b"zcode 0 8 1\n", "InvalidModulus"),
+    (b"zcode -2 8 1\n1 0 0 0 0 0 0 0\n", "InvalidModulus"),
+    (b"zcode 1 8 2\n1 0 0 0 0 0 0 0\n", "BadCodeFile"),
+    (b"zcode 1 8 -1\n", "BadCodeFile"),
+    (b"zcode 1 8 1\n1 0 0 1\n", "BadCodeFile"),
+    (b"\xff\xfe\x00zcode", "BadCodeFile"),  # not UTF-8
+])
+def test_code_verify_malformed_file(data, error, tmp_path, capsys):
+    path = tmp_path / "bad.zcode"
+    path.write_bytes(data)
+    rc, out, err = invoke(capsys, "code", "verify", "--file", str(path))
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}:")
+
+
 def test_usage_error_exit_2(capsys):
     rc, _, _ = invoke(capsys, "no-such-command")
     assert rc == 2

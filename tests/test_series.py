@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import binary_power
 from zktheta.errors import (
     GridViolation,
     NegativeExponent,
@@ -15,7 +16,6 @@ from zktheta.series import (
     FracSeries,
     differentiate,
     euler_scaled,
-    invert,
     linear_combine,
     mul,
     power,
@@ -51,7 +51,7 @@ def test_mul_delta_h_is_t():
 
 def test_mul_e4_inverse():
     e4 = eisenstein_e4(20)
-    assert mul(e4, invert(e4)) == poly(1, T=20)
+    assert mul(e4, power(e4, -1)) == poly(1, T=20)
 
 
 def test_pow_binomial():
@@ -70,18 +70,36 @@ def test_pow_one_is_identity():
 
 
 def test_invert_geometric():
-    inv = invert(poly(1, -1, *[0] * 8, T=10))
+    inv = power(poly(1, -1, *[0] * 8, T=10), -1)
     assert inv.coeffs == [1] * 10
 
 
 def test_invert_e4():
-    inv = invert(eisenstein_e4(3))
+    inv = power(eisenstein_e4(3), -1)
     assert inv.coeffs == [1, -240, 55440]
 
 
 def test_invert_delta_raises():
     with pytest.raises(ZeroConstantTerm):
-        invert(delta24(10))
+        power(delta24(10), -1)
+
+
+def test_invert_non_unit_constant_gives_fractions():
+    # 1/(2 + t) = 1/2 - t/4 + t^2/8 - ...
+    inv = power(poly(2, 1, T=8), -1)
+    assert inv.coeffs == [Fraction((-1) ** e, 2 ** (e + 1)) for e in range(8)]
+    assert all(type(c) is Fraction for c in inv.coeffs)
+
+
+def test_pow_zero_series_and_shift_past_truncation():
+    zero = FracSeries(4, Fraction(7, 2), [])
+    assert power(zero, 3).nonzero_terms() == []
+    assert power(zero, 0) == FracSeries.constant(1, Fraction(7, 2), 4)
+    # t^2 cubed is t^6, beyond T = 5
+    assert power(FracSeries.monomial(1, 2, 5), 3).nonzero_terms() == []
+    # leading shift v = 1: (t^(1/4) + 2t^(1/2))^2 = t^(1/2) + 4t^(3/4) + O(t)
+    sq = power(FracSeries(4, 1, [0, 1, 2, 0]), 2)
+    assert sq.nonzero_terms() == [(2, 1), (3, 4)]
 
 
 def test_differentiate_monomial():
@@ -201,16 +219,6 @@ def test_mul_distributes(a, b, c):
     assert mul(sa, sb + sc) == mul(sa, sb) + mul(sa, sc)
 
 
-@settings(max_examples=40, deadline=None)
-@given(coeffs_st, st.integers(min_value=0, max_value=8))
-def test_pow_matches_repeated_mul(a, m):
-    sa = _series(a)
-    expected = _series([1])
-    for _ in range(m):
-        expected = mul(expected, sa)
-    assert power(sa, m) == expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=8),
        st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=8))
@@ -260,3 +268,18 @@ def test_mul_matches_naive_product(a, b):
     assert p.T == min(a.T, b.T)
     assert {Fraction(e, p.D): c for e, c in p.nonzero_terms()} == \
         _naive_product(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(coeffs_st.map(_series), sparse_series()),
+       st.integers(min_value=-6, max_value=12))
+def test_pow_matches_repeated_mul(a, m):
+    """Miller's recurrence against repeated squaring with mul."""
+    if m >= 0:
+        assert power(a, m) == binary_power(a, m)
+    elif a.coeff_index(0) == 0:
+        with pytest.raises(ZeroConstantTerm):
+            power(a, m)
+    else:
+        one = FracSeries.constant(1, a.T, a.D)
+        assert mul(power(a, m), binary_power(a, -m)) == one
