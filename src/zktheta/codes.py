@@ -59,10 +59,11 @@ class LinearCode:
             k, n, r = int(k), int(n), int(r)
             rows = [tuple(int(x) for x in ln) for ln in lines[1:1 + r]]
         except (IndexError, ValueError):
-            raise BadCodeFile("expected 'zcode k n r' and integer rows") from None
+            raise BadCodeFile("bad 'zcode k n r' header or entries") from None
         if k < 1:
             raise InvalidModulus(f"k must be >= 1, got {k}")
-        if magic != "zcode" or len(rows) != r or any(len(x) != n for x in rows):
+        bad_rows = len(rows) != r or any(len(x) != n for x in rows)
+        if magic != "zcode" or n < 0 or bad_rows:
             raise BadCodeFile(f"not a zcode file of {r} rows of length {n}")
         return cls(k=k, n=n, rows=tuple(rows))
 

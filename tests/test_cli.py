@@ -132,6 +132,7 @@ def test_code_verify_missing_file(capsys):
     (b"zcode -2 8 1\n1 0 0 0 0 0 0 0\n", "InvalidModulus"),
     (b"zcode 1 8 2\n1 0 0 0 0 0 0 0\n", "BadCodeFile"),
     (b"zcode 1 8 -1\n", "BadCodeFile"),
+    (b"zcode 1 -8 0\n", "BadCodeFile"),
     (b"zcode 1 8 1\n1 0 0 1\n", "BadCodeFile"),
     (b"\xff\xfe\x00zcode", "BadCodeFile"),  # not UTF-8
 ])
