@@ -6,7 +6,6 @@ from .extremal import (
     ExtremalProfile,
     PositivityReport,
     b_coefficients,
-    b_coefficients_burmann,
     beta_stars,
     crossover_scan,
     eq3_value,

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, InvalidLength
-from .extremal import _theta_bracket, b_coefficients, shape
+from .extremal import _tail_chunk, _theta_bracket, shape
 from .modforms import h_series
 from .series import FracSeries
 
@@ -203,10 +203,10 @@ def ratio_report(k: int, ns) -> list:
     """Exact |b_{2(mu+2)}/b_{2(mu+1)}| against the sign-change threshold."""
     rows = []
     for n in ns:
-        j, mu, nu = shape(n)
-        b = b_coefficients(n, k, extra=2)
+        _, mu, nu = shape(n)
+        _, b1, b2 = _tail_chunk(k, [n])[0]
         with mp.workdps(40):
-            ratio = abs(mp.mpf(b[mu + 2]) / mp.mpf(b[mu + 1]))
+            ratio = abs(mp.mpf(b2) / mp.mpf(b1))
             thr = 24 * mu - 240 * nu + 744
             rows.append(RatioRow(n=n, ratio=+ratio, threshold=thr,
                                  margin=+(ratio - thr)))

@@ -158,7 +158,7 @@ def _cmd_code_verify(args) -> str:
 
 
 def _cmd_code_search(args) -> str:
-    code = codes.search_c8(args.k, seed=args.seed)
+    code = codes.search_c8(args.k)
     rep = codes.verify_type2(code)
     if args.format == "json":
         return _emit_json({
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_code_verify)
     sp = code_sub.add_parser("search", help="find a length-8 Type II code")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_code_search)
 
     return p

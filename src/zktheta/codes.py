@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,7 +62,7 @@ class LinearCode:
         if k < 1:
             raise InvalidModulus(f"k must be >= 1, got {k}")
         bad_rows = len(rows) != r or any(len(x) != n for x in rows)
-        if magic != "zcode" or n < 0 or bad_rows:
+        if magic != "zcode" or n < 1 or bad_rows:
             raise BadCodeFile(f"not a zcode file of {r} rows of length {n}")
         return cls(k=k, n=n, rows=tuple(rows))
 
@@ -276,14 +275,14 @@ _DATABASE = {
 }
 
 
-def search_c8(k: int, seed: int = 0, budget: int = 200_000) -> LinearCode:
+def search_c8(k: int) -> LinearCode:
     """A verified length-8 Type II code over Z_2k in form [I4 | A].
 
-    Order of attack: the built-in database, then quaternionic blocks from
-    four-square decompositions of 4k-1 (row norms = -1 mod 4k, orthogonal
-    rows by construction), then seeded random blocks filtered by the
-    necessary condition I + A*A^T = 0 mod 2k.  Every candidate passes a
-    full verify_type2 before being returned; deterministic for fixed seed.
+    Order of attack: the built-in database, then quaternionic blocks Q from
+    four-square decompositions of 4k-1.  QQ^T = (4k-1)*I makes the rows of
+    [I4 | Q] orthogonal mod 2k, each of weight 4k (entries |x| <= k), and
+    the weight mod 4k is a quadratic form, so the first block passes; every
+    candidate still passes a full verify_type2 before being returned.
     """
     if k < 1:
         raise InvalidModulus(f"k must be >= 1, got {k}")
@@ -297,23 +296,4 @@ def search_c8(k: int, seed: int = 0, budget: int = 200_000) -> LinearCode:
             code = _standard_form(k, _quaternion_block(*vals))
             if verify_type2(code).is_type2:
                 return code
-    m = 2 * k
-    rng = random.Random(seed)
-    for _ in range(budget):
-        a_block = [[rng.randrange(m) for _ in range(4)] for _ in range(4)]
-        ok = True
-        for i in range(4):
-            for j in range(4):
-                dot = sum(a_block[i][t] * a_block[j][t] for t in range(4))
-                if (dot + (1 if i == j else 0)) % m:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        code = _standard_form(k, tuple(tuple(r) for r in a_block))
-        if verify_type2(code).is_type2:
-            return code
-    raise SearchExhausted(f"no length-8 Type II code found for k={k} "
-                          f"within {budget} trials (seed={seed})")
+    raise SearchExhausted(f"no length-8 Type II code found for k={k}")

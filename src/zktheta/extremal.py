@@ -2,9 +2,13 @@
 
 The chain is: theta0 = theta1^j is the theta series of the sublattice
 sqrt(2k)*Z^n inside the Construction A lattice; b_{2s} are the coefficients
-of E4^{-j} * theta0 expanded in powers of u = Delta / E4^3.  Matching
-psi = theta1 / E4 against powers of u once gives G_k, the b-list of n = 8;
-since substituting u is a ring map, the b-list of n = 8j is G_k^j.  The
+of phi = E4^{-j} * theta0 expanded in powers of u = Delta / E4^3.  With the
+bracket B = t*(theta1*E4' - theta1'*E4) and w = t/u = E4^3 * h,
+t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
+
+    b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s   (s >= 1)
+
+and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  The
 putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and
 its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)}
 decide existence.  Everything here is exact integer arithmetic.
@@ -13,16 +17,16 @@ decide existence.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
-                     PrecisionTooSmall)
+                     OutOfTruncation, PrecisionTooSmall)
 from .modforms import delta24, eisenstein_e4, h_series, theta1, theta_f
 from .series import (
     FracSeries,
-    differentiate,
     euler_scaled,
     linear_combine,
     mul,
@@ -92,89 +96,55 @@ class PositivityReport:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _g_series(k: int, N: int) -> FracSeries:
-    """G_k = sum_s b_{2s}(8, k) x^s, the b-list of n = 8, truncated at x^N.
-
-    Peels psi = theta1 / E4 by coefficient matching against a running power
-    of u = Delta / E4^3: u = t + O(t^2), so after subtracting b_{2r} u^r for
-    r < s the residual starts at t^s with coefficient b_{2s}.
-    """
-    e4 = eisenstein_e4(N)
-    u = mul(delta24(N), power(e4, -3))
-    resid = list(mul(theta1(k, N), power(e4, -1)).coeffs)
-    upow = FracSeries.constant(1, N)
-    b = []
-    for s in range(N):
-        bs = resid[s]
-        b.append(bs)
-        if bs:
-            for e, c in upow.nonzero_terms():
-                resid[e] -= bs * c
-        upow = mul(upow, u)
-    return FracSeries(1, N, b)
+def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
+    """b_{2s} = -(j/s) * [t^s] x*y, an exact division (else ArithmeticError)."""
+    if min(x.T, y.T) <= s:
+        raise OutOfTruncation(f"[t^{s}] needs truncation above {s}")
+    ys = y.coeffs[:s + 1]
+    ys += [0] * (s + 1 - len(ys))
+    dot = sum(map(operator.mul, x.coeffs[:s + 1], reversed(ys)))
+    b, rem = divmod(-j * dot, s)
+    if rem:
+        raise ArithmeticError(f"non-integral b at s={s}")
+    return b
 
 
 def b_coefficients(n: int, k: int, extra: int = 0) -> list:
-    """b_{2s} for s = 0..mu+extra, read off G_k^(n/8).
+    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann.
 
-    Substituting u = Delta / E4^3 is a ring map, so phi = psi^j expands in
-    powers of u as G_k(u)^j with G_k the b-list of n = 8.
+    b_{2s} = _b_at(R, w^s) with R = theta1^(j-1) * B * E4^(-j-1) built once
+    and w = E4^3 * h cut at t^(s+1) before powering.
     """
     _check_length(n)
     if extra < 0:
         raise ValueError("extra must be >= 0")
-    _, mu, _ = shape(n)
+    j, mu, _ = shape(n)
     count = mu + extra + 1
-    bpow = power(_g_series(k, count), n // 8)
-    return [bpow.coeff_index(s) for s in range(count)]
-
-
-def b_coefficients_burmann(n: int, k: int, extra: int = 0) -> list:
-    """Same contract as b_coefficients via the Buermann derivative form.
-
-    b_{2s} = (1/s) * [t^(s-1)] ( phi' * (t*E4^3/Delta)^s ) for s >= 1,
-    with phi = E4^{-j} theta0; an independent second path used as an oracle
-    against the matching extraction.
-    """
-    _check_length(n)
-    if extra < 0:
-        raise ValueError("extra must be >= 0")
-    _, mu, _ = shape(n)
-    count = mu + extra + 1
-    ns = count + 1  # phi' loses one term
-    e4 = eisenstein_e4(ns)
-    psi = mul(theta1(k, ns), power(e4, -1))
-    phi = power(psi, n // 8)
-    dphi = differentiate(phi)
-    v = mul(power(e4, 3), h_series(ns - 1))  # t * E4^3 / Delta
-    b = [phi.coeff_index(0)]
-    for s in range(1, count):
-        c = mul(dphi, power(v, s)).coeff_index(s - 1)
-        bs = Fraction(c, s)
-        if bs.denominator != 1:
-            raise ArithmeticError(f"non-integral b at s={s}: {bs}")
-        b.append(bs.numerator)
-    return b
+    bracket, th1 = _theta_bracket(k, count)
+    e4 = eisenstein_e4(count)
+    r = mul(mul(power(th1, j - 1), bracket), power(e4, -j - 1))
+    w = mul(power(e4, 3), h_series(count))
+    return [1] + [_b_at(r, power(w.truncate(s + 1), s), j, s)
+                  for s in range(1, count)]
 
 
 def beta_stars(n: int, k: int):
     """(beta1, beta2) = forced tail coefficients of the extremal series."""
-    j, mu, nu = shape(n)
-    b = b_coefficients(n, k, extra=2)
-    return _betas_from_b(b, mu, nu)
+    _check_length(n)
+    return _betas_from_b(*_tail_chunk(k, [n])[0])
 
 
-def _betas_from_b(b: list, mu: int, nu: int):
-    beta1 = -b[mu + 1]
-    beta2 = -b[mu + 2] + b[mu + 1] * (24 * mu - 240 * nu + 744)
-    return beta1, beta2
+def _betas_from_b(n: int, b1: int, b2: int):
+    """(beta1, beta2) from b1 = b_{2(mu+1)} and b2 = b_{2(mu+2)}."""
+    _, mu, nu = shape(n)
+    return -b1, -b2 + b1 * (24 * mu - 240 * nu + 744)
 
 
 def profile(n: int, k: int) -> ExtremalProfile:
     """Full per-(n, k) record: shape, b-list, beta values."""
     j, mu, nu = shape(n)
     b = b_coefficients(n, k, extra=2)
-    beta1, beta2 = _betas_from_b(b, mu, nu)
+    beta1, beta2 = _betas_from_b(n, b[mu + 1], b[mu + 2])
     return ExtremalProfile(n=n, k=k, j=j, mu=mu, nu=nu, b=b,
                            beta1=beta1, beta2=beta2)
 
@@ -279,12 +249,13 @@ def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
 
 
 def _certify(th1pow: FracSeries, cert, k: int, mu: int):
-    """_positivity of theta1^(j-1) times each fixed factor, cut at mu + 2."""
+    """(s1, _positivity) for theta1^(j-1) times each fixed factor, cut at
+    mu + 2; s1 = theta1^(j-1) * bracket is the integer-grid layer."""
     bracket, fparts = cert
     T = mu + 2
-    return _positivity(mul(th1pow, bracket.truncate(T)),
-                       [(r, mul(th1pow, f.truncate(T))) for r, f in fparts],
-                       k, mu)
+    s1 = mul(th1pow, bracket.truncate(T))
+    return s1, _positivity(
+        s1, [(r, mul(th1pow, f.truncate(T))) for r, f in fparts], k, mu)
 
 
 def positivity_certificate(n: int, k: int) -> PositivityReport:
@@ -303,7 +274,7 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
     """
     j, mu, nu = shape(n)
     th1, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e = _certify(power(th1, j - 1), cert, k, mu)
+    _, (ok, min_c, min_e) = _certify(power(th1, j - 1), cert, k, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -351,22 +322,41 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
     return [r for part in parts for r in part]
 
 
-def _scan_chunk(k: int, ns_list: list) -> list:
-    """beta values for an ascending run of lengths; G_k^j steps by one mul."""
-    if not ns_list:
-        return []
-    g = _g_series(k, ns_list[-1] // 24 + 3)
-    j = ns_list[0] // 8
-    bpow = power(g, j)
-    rows = []
+def _walk(th1: FracSeries, p: FracSeries, ns_list: list, cut: int):
+    """Yield (n, j, mu, p * theta1^(j-j0), E4^(2-nu) * h^(mu+1)) per length.
+
+    ns_list ascends from n = 8*j0; the running power steps by theta1 per
+    length and h^(mu+1) by h per mu, and the last series is cut at mu + cut.
+    """
+    e4 = eisenstein_e4(th1.T)
+    e4pows = [power(e4, 2 - nu) for nu in range(3)]
+    h = h_series(th1.T)
+    j, mu = ns_list[0] // 8, ns_list[0] // 24
+    hpow = power(h, mu + 1)
     for n in ns_list:
         while 8 * j < n:
-            bpow = mul(bpow, g)
+            p = mul(p, th1)
             j += 1
-        _, mu, nu = shape(n)
-        beta1, beta2 = _betas_from_b(bpow.coeffs, mu, nu)
-        rows.append(ScanRow(n=n, beta1=beta1, beta2=beta2))
-    return rows
+        while 24 * (mu + 1) <= n:
+            hpow = mul(hpow, h)
+            mu += 1
+        yield n, j, mu, p, mul(e4pows[j - 3 * mu].truncate(mu + cut), hpow)
+
+
+def _tail_chunk(k: int, ns_list: list) -> list:
+    """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
+
+    With s1 = theta1^(j-1) * B and f = E4^(2-nu) * h^(mu+1) the two b's are
+    _b_at(s1, f) and _b_at(s1, f * w), w = E4^3 * h.
+    """
+    if not ns_list:
+        return []
+    T = ns_list[-1] // 24 + 3
+    bracket, th1 = _theta_bracket(k, T)
+    w = mul(power(eisenstein_e4(T), 3), h_series(T))
+    s1 = mul(power(th1, ns_list[0] // 8 - 1), bracket)
+    return [(n, _b_at(s1, f, j, mu + 1), _b_at(s1, mul(f, w), j, mu + 2))
+            for n, j, mu, s1, f in _walk(th1, s1, ns_list, 3)]
 
 
 def crossover_scan(k: int, n_from: int, n_to: int,
@@ -379,8 +369,9 @@ def crossover_scan(k: int, n_from: int, n_to: int,
     _check_length(n_from)
     if n_to < n_from:
         raise InvalidRange(f"empty range {n_from}..{n_to}")
-    rows = _map_chunks(_scan_chunk, k, list(range(n_from, n_to + 1, 8)),
-                       workers)
+    rows = [ScanRow(n, *_betas_from_b(n, b1, b2)) for n, b1, b2 in
+            _map_chunks(_tail_chunk, k, list(range(n_from, n_to + 1, 8)),
+                        workers)]
     first = next((r.n for r in rows if r.beta2 < 0), None)
     return ScanResult(k=k, rows=rows, first_negative=first)
 
@@ -395,9 +386,9 @@ class Theorem1Row:
 def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     """beta1 > 0 plus positivity certificate for all n = 0 mod 8 up to n_max.
 
-    Incremental over j: each step multiplies G_k^j and theta1^(j-1) by one
-    more factor, and each length costs k + 1 products with the fixed
-    certificate factors; results identical to the per-n operations.
+    Incremental over j: each step multiplies theta1^(j-1) by theta1, and
+    each length costs k + 1 products with the fixed certificate factors
+    plus one for beta1; results identical to the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -408,26 +399,16 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     """Theorem1Row for an ascending run of lengths, all on the integer grid.
 
     f0^(8j-1) = theta1^(j-1) * f0^7: theta1^(j-1) is the only running power
-    of the certificate, times factors fixed per chunk.
+    of the certificate, times factors fixed per chunk; beta1 = -b_{2(mu+1)}
+    is read off the certificate's layer s1 = theta1^(j-1) * B.
     """
     if not ns_list:
         return []
-    T = ns_list[-1] // 24 + 2
-    j = ns_list[0] // 8
-    # beta1 track
-    g = _g_series(k, T)
-    bpow = power(g, j)
-    # positivity track
-    th1, cert = _certificate_factors(k, T)
-    th1pow = power(th1, j - 1)
+    th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
     rows = []
-    for n in ns_list:
-        while 8 * j < n:
-            bpow = mul(bpow, g)
-            th1pow = mul(th1pow, th1)
-            j += 1
-        _, mu, _ = shape(n)
-        ok = _certify(th1pow, cert, k, mu)[0]
-        rows.append(Theorem1Row(n=n, beta1=-bpow.coeffs[mu + 1],
+    for n, j, mu, th1pow, f in _walk(th1, power(th1, ns_list[0] // 8 - 1),
+                                     ns_list, 2):
+        s1, (ok, _, _) = _certify(th1pow, cert, k, mu)
+        rows.append(Theorem1Row(n=n, beta1=-_b_at(s1, f, j, mu + 1),
                                 positivity=ok))
     return rows

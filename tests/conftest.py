@@ -55,6 +55,32 @@ def binary_power(a, m: int):
     return result
 
 
+def matching_b_list(n: int, k: int, extra: int):
+    """b_{2s} for s = 0..mu+extra by coefficient matching.
+
+    Oracle for extremal.b_coefficients, which runs Lagrange-Buermann.
+    Peels psi = theta1 / E4 against a running power of u = Delta / E4^3:
+    u = t + O(t^2), so after subtracting b_{2r} u^r for r < s the residual
+    starts at t^s with coefficient b_{2s}.  That gives G_k, the b-list of
+    n = 8; substituting u is a ring map, so the b-list of n = 8j is G_k^j.
+    """
+    from zktheta.modforms import delta24, eisenstein_e4, theta1
+    from zktheta.series import FracSeries, mul, power
+
+    N = n // 24 + extra + 1
+    e4 = eisenstein_e4(N)
+    u = mul(delta24(N), power(e4, -3))
+    resid = list(mul(theta1(k, N), power(e4, -1)).coeffs)
+    upow = FracSeries.constant(1, N)
+    g = []
+    for s in range(N):
+        g.append(resid[s])
+        for e, c in upow.nonzero_terms():
+            resid[e] -= g[s] * c
+        upow = mul(upow, u)
+    return power(FracSeries(1, N, g), n // 8).coeffs
+
+
 def _trunc_mul(a, b, N):
     """Product of two coefficient lists, cut to N terms."""
     out = [0] * N

@@ -16,15 +16,13 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 
 import conftest
-from conftest import extremal_excess, uncancelled_g_ratio
+from conftest import extremal_excess, matching_b_list, uncancelled_g_ratio
 from zktheta.asymptotics import eval_F, find_saddle, predicted_ratio_limit, ratio_report
 from zktheta.codes import search_c8, theta_cosets, theta_substitution, verify_type2
 from zktheta.extremal import (
     b_coefficients,
-    b_coefficients_burmann,
     beta_stars,
     crossover_scan,
     eq3_value,
@@ -57,7 +55,7 @@ def test_criterion_2_two_path_b():
     bad = []
     for k in range(1, 7):
         for n in range(8, 241, 8):
-            if b_coefficients(n, k, 2) != b_coefficients_burmann(n, k, 2):
+            if b_coefficients(n, k, 2) != matching_b_list(n, k, 2):
                 bad.append((n, k))
     record(2, not bad and time.time() - t0 < 60,
            f"matching vs reversion extraction, n<=240, k<=6 "
@@ -98,7 +96,6 @@ def test_criterion_4_theorem1_certificate():
            f"({elapsed:.0f}s, failures: {bad or 'none'})")
 
 
-@pytest.mark.slow
 def test_criterion_5_crossover_window():
     # Exact scans find beta2 > 0 on every length of [4800, 5608] for each k.
     # The definition oracle, itself checked on E8 (14 weight-4 words of the

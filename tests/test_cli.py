@@ -135,6 +135,7 @@ def test_code_verify_missing_file(capsys):
     (b"zcode 1 -8 0\n", "BadCodeFile"),
     (b"zcode 1 8 1\n1 0 0 1\n", "BadCodeFile"),
     (b"\xff\xfe\x00zcode", "BadCodeFile"),  # not UTF-8
+    (b"zcode 1 0 0\n", "BadCodeFile"),
 ])
 def test_code_verify_malformed_file(data, error, tmp_path, capsys):
     path = tmp_path / "bad.zcode"

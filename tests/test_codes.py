@@ -130,7 +130,7 @@ def test_search_all_k(k):
 
 def test_search_deterministic():
     assert search_c8(3) == search_c8(3)
-    assert search_c8(5, seed=1) == search_c8(5, seed=1)
+    assert search_c8(5) == search_c8(5)
 
 
 def test_code_file_roundtrip():

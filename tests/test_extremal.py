@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import extremal_excess, padded_certificate
+from conftest import extremal_excess, matching_b_list, padded_certificate
 from zktheta import extremal
 from zktheta.errors import GridViolation, InvalidLength, PrecisionTooSmall
 from zktheta.extremal import (
     _positivity,
     b_coefficients,
-    b_coefficients_burmann,
     beta_stars,
     crossover_scan,
     eq3_value,
@@ -55,13 +54,13 @@ def test_b_leading_is_one():
 
 
 def test_burmann_agrees_small():
-    assert b_coefficients_burmann(8, 1, 2) == b_coefficients(8, 1, 2)
+    assert matching_b_list(8, 1, 2) == b_coefficients(8, 1, 2)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_burmann_agrees_sweep(k):
     for n in range(24, 241, 24):
-        assert b_coefficients_burmann(n, k, 2) == b_coefficients(n, k, 2)
+        assert matching_b_list(n, k, 2) == b_coefficients(n, k, 2)
 
 
 def test_beta_examples():
@@ -290,8 +289,9 @@ def test_crossover_scan_matches_direct_profiles():
     for row in res.rows:
         p = profile(row.n, 2)
         assert (row.beta1, row.beta2) == (p.beta1, p.beta2)
-        # the scan and profile share the G_k path; the definition oracle
-        # shares no code with zktheta
+        # profile reads the betas off the full b-list and the scan off the
+        # tail chunk, both through _b_at; the definition oracle shares no
+        # code with zktheta
         assert (row.beta1, row.beta2) == extremal_excess(row.n, [2])[2]
 
 
@@ -302,7 +302,6 @@ def test_crossover_scan_worker_determinism():
         [(r.n, r.beta1, r.beta2) for r in par.rows]
 
 
-@pytest.mark.slow
 def test_crossover_k1_first_negative_beta2():
     # checks only 10120..10192: beta2 is positive up to 10144, negative at
     # 10152 and positive again at 10160, so the sign oscillates at onset.
@@ -325,7 +324,9 @@ def test_theorem1_sweep_worker_determinism(k):
 
 
 def test_theorem1_sweep_matches_per_n_ops():
-    rows = theorem1_sweep(3, 120)
-    for row in rows:
-        assert row.beta1 == beta_stars(row.n, 3)[0]
-        assert row.positivity == positivity_certificate(row.n, 3).verdict
+    for k in range(1, 7):
+        for row in theorem1_sweep(k, 480):
+            mu = row.n // 24
+            assert row.beta1 == beta_stars(row.n, k)[0]
+            assert row.beta1 == -matching_b_list(row.n, k, 1)[mu + 1]
+            assert row.positivity == positivity_certificate(row.n, k).verdict
