@@ -200,10 +200,12 @@ class RatioRow:
 
 
 def ratio_report(k: int, ns) -> list:
-    """Exact |b_{2(mu+2)}/b_{2(mu+1)}| against the sign-change threshold."""
+    """Exact |b_{2(mu+2)}/b_{2(mu+1)}| against the sign-change threshold.
+
+    Every length is checked before any is computed.
+    """
     rows = []
-    for n in ns:
-        _, mu, nu = shape(n)
+    for n, (_, mu, nu) in [(n, shape(n)) for n in ns]:
         _, b1, b2 = _tail_chunk(k, [n])[0]
         with mp.workdps(40):
             ratio = abs(mp.mpf(b2) / mp.mpf(b1))

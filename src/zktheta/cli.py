@@ -159,12 +159,11 @@ def _cmd_code_verify(args) -> str:
 
 def _cmd_code_search(args) -> str:
     code = codes.search_c8(args.k)
-    rep = codes.verify_type2(code)
     if args.format == "json":
         return _emit_json({
             "k": code.k, "n": code.n,
             "rows": [list(r) for r in code.rows],
-            "report": rep.to_jsonable(),
+            "report": codes.verify_type2(code).to_jsonable(),
         })
     return code.dumps()
 

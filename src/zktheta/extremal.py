@@ -8,7 +8,11 @@ t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
 
     b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s   (s >= 1)
 
-and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  The
+and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
+b is one dot product of a running product against a factor fixed per run:
+the tail b's dot C_mu = theta1^(3mu) * B * h^(mu+1), stepped once per mu,
+against Q_nu = theta1^(nu-1) * E4^(2-nu) and Q_nu * w; the full b-list
+steps R * w^(m*g) by a giant w^m and dots it against baby powers of w.  The
 putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and
 its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)}
 decide existence.  Everything here is exact integer arithmetic.
@@ -17,6 +21,8 @@ decide existence.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,10 +116,12 @@ def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
 
 
 def b_coefficients(n: int, k: int, extra: int = 0) -> list:
-    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann.
+    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann, baby-step giant-step.
 
-    b_{2s} = _b_at(R, w^s) with R = theta1^(j-1) * B * E4^(-j-1) built once
-    and w = E4^3 * h cut at t^(s+1) before powering.
+    With R = theta1^(j-1) * B * E4^(-j-1) and m = isqrt(count - 1) + 1,
+    b_{2s} = _b_at(R * w^(m*g), w^r) for s = m*g + r: the baby powers
+    w^0..w^(m-1) are kept and R * w^(m*g) steps by the giant w^m, so the
+    whole list costs about 2*sqrt(count) products.
     """
     _check_length(n)
     if extra < 0:
@@ -122,10 +130,17 @@ def b_coefficients(n: int, k: int, extra: int = 0) -> list:
     count = mu + extra + 1
     bracket, th1 = _theta_bracket(k, count)
     e4 = eisenstein_e4(count)
-    r = mul(mul(power(th1, j - 1), bracket), power(e4, -j - 1))
     w = mul(power(e4, 3), h_series(count))
-    return [1] + [_b_at(r, power(w.truncate(s + 1), s), j, s)
-                  for s in range(1, count)]
+    m = math.isqrt(count - 1) + 1
+    baby = list(itertools.accumulate([w] * (m - 1), mul, initial=power(w, 0)))
+    giant = mul(baby[-1], w)
+    r = mul(mul(power(th1, j - 1), bracket), power(e4, -j - 1))
+    b = [1]
+    for s in range(1, count):
+        if s % m == 0:
+            r = mul(r, giant)
+        b.append(_b_at(r, baby[s % m], j, s))
+    return b
 
 
 def beta_stars(n: int, k: int):
@@ -249,13 +264,13 @@ def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
 
 
 def _certify(th1pow: FracSeries, cert, k: int, mu: int):
-    """(s1, _positivity) for theta1^(j-1) times each fixed factor, cut at
-    mu + 2; s1 = theta1^(j-1) * bracket is the integer-grid layer."""
+    """_positivity for theta1^(j-1) times each fixed factor, cut at mu + 2;
+    theta1^(j-1) * bracket is the integer-grid layer."""
     bracket, fparts = cert
     T = mu + 2
-    s1 = mul(th1pow, bracket.truncate(T))
-    return s1, _positivity(
-        s1, [(r, mul(th1pow, f.truncate(T))) for r, f in fparts], k, mu)
+    return _positivity(
+        mul(th1pow, bracket.truncate(T)),
+        [(r, mul(th1pow, f.truncate(T))) for r, f in fparts], k, mu)
 
 
 def positivity_certificate(n: int, k: int) -> PositivityReport:
@@ -274,7 +289,7 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
     """
     j, mu, nu = shape(n)
     th1, cert = _certificate_factors(k, mu + 2)
-    _, (ok, min_c, min_e) = _certify(power(th1, j - 1), cert, k, mu)
+    ok, min_c, min_e = _certify(power(th1, j - 1), cert, k, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -322,41 +337,50 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
     return [r for part in parts for r in part]
 
 
-def _walk(th1: FracSeries, p: FracSeries, ns_list: list, cut: int):
-    """Yield (n, j, mu, p * theta1^(j-j0), E4^(2-nu) * h^(mu+1)) per length.
+def _per_mu(bracket: FracSeries, th1: FracSeries, h: FracSeries,
+            ns_list: list):
+    """Yield (n, j, mu, nu, C_mu) along an ascending run of lengths.
 
-    ns_list ascends from n = 8*j0; the running power steps by theta1 per
-    length and h^(mu+1) by h per mu, and the last series is cut at mu + cut.
+    C_mu = theta1^(3mu) * B * h^(mu+1) steps by the fixed series
+    theta1^3 * h once per mu, and theta1^(j-1) * B * E4^(2-nu) * h^(mu+1)
+    = C_mu * Q_nu with Q_nu from _q_factors.
+    """
+    step = mul(power(th1, 3), h)
+    mu = ns_list[0] // 24
+    c = mul(mul(power(step, mu), bracket), h)
+    for n in ns_list:
+        j, mu_n, nu = shape(n)
+        while mu < mu_n:
+            c = mul(c, step)
+            mu += 1
+        yield n, j, mu, nu, c
+
+
+def _q_factors(th1: FracSeries, ns_list: list) -> dict:
+    """{nu: theta1^(nu-1) * E4^(2-nu)} for the nu classes in the run.
+
+    theta1(0) = 1, so theta1^(-1) is integral.
     """
     e4 = eisenstein_e4(th1.T)
-    e4pows = [power(e4, 2 - nu) for nu in range(3)]
-    h = h_series(th1.T)
-    j, mu = ns_list[0] // 8, ns_list[0] // 24
-    hpow = power(h, mu + 1)
-    for n in ns_list:
-        while 8 * j < n:
-            p = mul(p, th1)
-            j += 1
-        while 24 * (mu + 1) <= n:
-            hpow = mul(hpow, h)
-            mu += 1
-        yield n, j, mu, p, mul(e4pows[j - 3 * mu].truncate(mu + cut), hpow)
+    return {nu: mul(power(th1, nu - 1), power(e4, 2 - nu))
+            for nu in {n // 8 % 3 for n in ns_list}}
 
 
 def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
-    With s1 = theta1^(j-1) * B and f = E4^(2-nu) * h^(mu+1) the two b's are
-    _b_at(s1, f) and _b_at(s1, f * w), w = E4^3 * h.
+    They are _b_at(C_mu, Q_nu) and _b_at(C_mu, Q_nu * w), w = E4^3 * h:
+    one product per mu, and two dot products per length.
     """
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 3
     bracket, th1 = _theta_bracket(k, T)
-    w = mul(power(eisenstein_e4(T), 3), h_series(T))
-    s1 = mul(power(th1, ns_list[0] // 8 - 1), bracket)
-    return [(n, _b_at(s1, f, j, mu + 1), _b_at(s1, mul(f, w), j, mu + 2))
-            for n, j, mu, s1, f in _walk(th1, s1, ns_list, 3)]
+    h = h_series(T)
+    w = mul(power(eisenstein_e4(T), 3), h)
+    qs = {nu: (q, mul(q, w)) for nu, q in _q_factors(th1, ns_list).items()}
+    return [(n, _b_at(c, qs[nu][0], j, mu + 1), _b_at(c, qs[nu][1], j, mu + 2))
+            for n, j, mu, nu, c in _per_mu(bracket, th1, h, ns_list)]
 
 
 def crossover_scan(k: int, n_from: int, n_to: int,
@@ -387,8 +411,9 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     """beta1 > 0 plus positivity certificate for all n = 0 mod 8 up to n_max.
 
     Incremental over j: each step multiplies theta1^(j-1) by theta1, and
-    each length costs k + 1 products with the fixed certificate factors
-    plus one for beta1; results identical to the per-n operations.
+    each length costs k + 1 products with the fixed certificate factors;
+    beta1 is a dot product of C_mu, stepped once per mu, against Q_nu.
+    Results are identical to the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -398,17 +423,21 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
 def _theorem1_chunk(k: int, ns_list: list) -> list:
     """Theorem1Row for an ascending run of lengths, all on the integer grid.
 
-    f0^(8j-1) = theta1^(j-1) * f0^7: theta1^(j-1) is the only running power
-    of the certificate, times factors fixed per chunk; beta1 = -b_{2(mu+1)}
-    is read off the certificate's layer s1 = theta1^(j-1) * B.
+    f0^(8j-1) = theta1^(j-1) * f0^7: theta1^(j-1) is the running power of
+    the certificate, times factors fixed per chunk; beta1 = -b_{2(mu+1)} =
+    -_b_at(C_mu, Q_nu) from the same C_mu as the tail b's.
     """
     if not ns_list:
         return []
     th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
+    qs = _q_factors(th1, ns_list)
+    j0 = ns_list[0] // 8
+    th1pow = power(th1, j0 - 1)
     rows = []
-    for n, j, mu, th1pow, f in _walk(th1, power(th1, ns_list[0] // 8 - 1),
-                                     ns_list, 2):
-        s1, (ok, _, _) = _certify(th1pow, cert, k, mu)
-        rows.append(Theorem1Row(n=n, beta1=-_b_at(s1, f, j, mu + 1),
-                                positivity=ok))
+    for n, j, mu, nu, c in _per_mu(cert[0], th1, h_series(th1.T), ns_list):
+        for _ in range(j - j0):
+            th1pow = mul(th1pow, th1)
+        j0 = j
+        rows.append(Theorem1Row(n=n, beta1=-_b_at(c, qs[nu], j, mu + 1),
+                                positivity=_certify(th1pow, cert, k, mu)[0]))
     return rows

@@ -155,6 +155,17 @@ def test_asymptotic_relative_error_shrinks(sd):
     assert errs[2] < mp.mpf("0.15")
 
 
+def test_ratio_report_checks_every_length_first(monkeypatch):
+    import zktheta.asymptotics as asy
+
+    def no_work(k, ns_list):
+        raise AssertionError("computed a length before checking them all")
+
+    monkeypatch.setattr(asy, "_tail_chunk", no_work)
+    with pytest.raises(InvalidLength):
+        asy.ratio_report(1, [9600, 0])
+
+
 def test_ratio_report_small_case():
     rows = ratio_report(1, [8])
     row = rows[0]

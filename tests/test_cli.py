@@ -173,6 +173,7 @@ def test_domain_error_exit_1(capsys):
     (("e4", "--terms", "-2"), 2),
     (("asymptotics", "--digits", "5"), 2),
     (("ratio", "--n-list", "24,x", "--k", "1"), 2),
+    (("ratio", "--k", "1", "--n-list", "9600,0"), 1),
 ])
 def test_bad_input_one_line_error(argv, code, capsys):
     rc, out, err = invoke(capsys, *argv)

@@ -59,7 +59,9 @@ def test_burmann_agrees_small():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_burmann_agrees_sweep(k):
-    for n in range(24, 241, 24):
+    # n = 552 (mu = 23) with extra = 2 has count - 1 = 25 = 5^2: giant steps
+    # of w^6 at s = 6, 12, 18, 24, and the list ends one past the last
+    for n in [*range(24, 241, 24), 552]:
         assert matching_b_list(n, k, 2) == b_coefficients(n, k, 2)
 
 
@@ -285,14 +287,21 @@ def test_crossover_scan_no_sign_change_small():
 
 
 def test_crossover_scan_matches_direct_profiles():
-    res = crossover_scan(2, 96, 144)
-    for row in res.rows:
-        p = profile(row.n, 2)
-        assert (row.beta1, row.beta2) == (p.beta1, p.beta2)
-        # profile reads the betas off the full b-list and the scan off the
-        # tail chunk, both through _b_at; the definition oracle shares no
-        # code with zktheta
-        assert (row.beta1, row.beta2) == extremal_excess(row.n, [2])[2]
+    # the runs start in every nu class, two of them at mu = 0 (n = 8, 16),
+    # so each chunk start meets both oracles.  profile reads the betas off
+    # the full b-list and the scan off the tail chunk, both through _b_at;
+    # matching_b_list and the definition oracle share no code with either
+    ks = range(1, 7)
+    for n_from in (8, 16, 96, 104, 136):
+        ns = range(n_from, n_from + 25, 8)
+        scans = {k: crossover_scan(k, ns[0], ns[-1]).rows for k in ks}
+        for i, n in enumerate(ns):
+            excess = extremal_excess(n, ks)
+            for k in ks:
+                row, p = scans[k][i], profile(n, k)
+                assert p.b == matching_b_list(n, k, 2)
+                assert (row.n, row.beta1, row.beta2) == (n, p.beta1, p.beta2)
+                assert (row.beta1, row.beta2) == excess[k]
 
 
 def test_crossover_scan_worker_determinism():
