@@ -2,28 +2,26 @@
 
 Big integers are always emitted as decimal strings (JSON numbers would be
 silently truncated by many readers); identical invocations produce
-byte-identical output regardless of worker count.
+byte-identical output regardless of worker count.  Each handler imports
+the layers it runs, so an answer pays only for its own imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 
-import mpmath as mp
-
-from . import asymptotics, codes, extremal, modforms
 from .errors import ZkThetaError
 
 
 def _emit_json(obj) -> str:
+    import json
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_csv(header, rows) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -72,6 +70,7 @@ def _int_list(text: str) -> list:
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_e4(args) -> str:
+    from . import modforms
     series = modforms.eisenstein_e4(args.terms)
     coeffs = [series.coeff_index(e) for e in range(args.terms)]
     if args.format == "json":
@@ -84,16 +83,19 @@ def _cmd_e4(args) -> str:
 
 
 def _cmd_extremal(args) -> str:
-    prof = extremal.profile(args.n, args.k)
+    from . import extremal
+    # only json prints the b-list; the table needs the two tail b's
     if args.format == "json":
-        return _emit_json(prof.to_jsonable())
+        return _emit_json(extremal.profile(args.n, args.k).to_jsonable())
+    j, mu, nu = extremal.shape(args.n)
+    beta1, beta2 = extremal.beta_stars(args.n, args.k)
     header = ["n", "k", "j", "mu", "nu", "beta1", "beta2"]
-    rows = [(prof.n, prof.k, prof.j, prof.mu, prof.nu,
-             str(prof.beta1), str(prof.beta2))]
+    rows = [(args.n, args.k, j, mu, nu, str(beta1), str(beta2))]
     return _tabular(args, header, rows)
 
 
 def _cmd_crossover(args) -> str:
+    from . import extremal
     res = extremal.crossover_scan(args.k, getattr(args, "from"),
                                   args.to, workers=args.workers)
     if args.format == "json":
@@ -107,6 +109,7 @@ def _cmd_crossover(args) -> str:
 
 
 def _cmd_theorem1(args) -> str:
+    from . import extremal
     rows = extremal.theorem1_sweep(args.k, args.nmax, workers=args.workers)
     ok = all(r.beta1 > 0 and r.positivity for r in rows)
     if args.format == "json":
@@ -124,6 +127,8 @@ def _cmd_theorem1(args) -> str:
 
 
 def _cmd_asymptotics(args) -> str:
+    import mpmath as mp
+    from . import asymptotics
     sd = asymptotics.find_saddle(args.digits)
     limit = asymptotics.predicted_ratio_limit(sd)
     payload = sd.to_jsonable()
@@ -136,6 +141,8 @@ def _cmd_asymptotics(args) -> str:
 
 
 def _cmd_ratio(args) -> str:
+    import mpmath as mp
+    from . import asymptotics
     rows = asymptotics.ratio_report(args.k, args.n_list)
     if args.format == "json":
         return _emit_json({"k": args.k,
@@ -147,6 +154,7 @@ def _cmd_ratio(args) -> str:
 
 
 def _cmd_code_verify(args) -> str:
+    from . import codes
     with open(args.file, errors="replace") as fh:
         code = codes.LinearCode.loads(fh.read())
     rep = codes.verify_type2(code)
@@ -158,6 +166,7 @@ def _cmd_code_verify(args) -> str:
 
 
 def _cmd_code_search(args) -> str:
+    from . import codes
     code = codes.search_c8(args.k)
     if args.format == "json":
         return _emit_json({

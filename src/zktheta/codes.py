@@ -1,21 +1,21 @@
 """Z_2k-codes: Euclidean weights, enumeration, symmetrized weight
 enumerators, Construction A theta series, and length-8 Type II codes.
 
-Only free codes are handled: r generator rows spanning (2k)^r distinct
-codewords, which covers every object this package needs.
+A code is spanned by r generator rows; enumeration runs over all (2k)^r
+coefficient vectors, so each codeword comes once per element of the kernel
+of c -> sum c_i * row_i (once if the code is free).  swe and theta_cosets
+divide that back out.  Only the theta functions import the series layers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
                      TooLarge)
-from .modforms import theta_f
-from .series import FracSeries, mul, power
 
 ENUM_GUARD = 10 ** 7
 
@@ -79,19 +79,28 @@ def euclidean_weight(k: int, word) -> int:
     return sum(rho(k, x) ** 2 for x in word)
 
 
+def _add_multiples(words, row, m: int):
+    """w + c*row mod m for each w of words and, within it, c = 0..m-1."""
+    mults = [[c * x for x in row] for c in range(m)]
+    for w in words:
+        for cr in mults:
+            yield tuple([(a + b) % m for a, b in zip(w, cr)])
+
+
 def enumerate_codewords(code: LinearCode):
-    """Yield all (2k)^r codewords of a free code, each exactly once."""
+    """Yield sum c_i * row_i mod 2k for every c in Z_2k^r, lexicographically.
+
+    Each codeword comes once per kernel element (once if the code is free).
+    Prefix sums: stage i adds every multiple of row i to each word of stage
+    i - 1, so each prefix word is built once and no word list is kept.
+    """
     m = code.modulus
     if m ** code.rank > ENUM_GUARD:
         raise TooLarge(f"{m}^{code.rank} codewords exceed the guard")
-    n = code.n
-    for coeffs in itertools.product(range(m), repeat=code.rank):
-        word = [0] * n
-        for c, row in zip(coeffs, code.rows):
-            if c:
-                for idx in range(n):
-                    word[idx] += c * row[idx]
-        yield tuple(x % m for x in word)
+    words = [(0,) * code.n]
+    for row in code.rows:
+        words = _add_multiples(words, row, m)
+    yield from words
 
 
 @dataclass
@@ -120,22 +129,17 @@ def verify_type2(code: LinearCode) -> Type2Report:
         sum(a * b for a, b in zip(r1, r2)) % m == 0
         for r1 in code.rows for r2 in code.rows
     )
-    words = set()
-    min_w = None
-    div_ok = True
-    for w in enumerate_codewords(code):
-        words.add(w)
-        wt = euclidean_weight(k, w)
-        if wt % (4 * k):
-            div_ok = False
-        if wt and (min_w is None or wt < min_w):
-            min_w = wt
-    free_ok = len(words) == m ** code.rank
+    sq = [rho(k, x) ** 2 for x in range(m)]
+    weights = Counter(sum(map(sq.__getitem__, w))
+                      for w in enumerate_codewords(code))
+    # free iff only c = 0 gives the zero word, the one word of weight 0
+    free_ok = weights[0] == 1
     # free + self-orthogonal + cardinality (2k)^(n/2) forces C = C-dual
     self_dual = gram_ok and free_ok and 2 * code.rank == code.n
     return Type2Report(self_dual=self_dual,
-                       all_weights_div_4k=div_ok,
-                       d_E=min_w or 0)
+                       all_weights_div_4k=all(wt % (4 * k) == 0
+                                              for wt in weights),
+                       d_E=min(filter(None, weights), default=0))
 
 
 @dataclass
@@ -161,34 +165,32 @@ class SweTable:
 def swe(code: LinearCode) -> SweTable:
     """Symmetrized weight enumerator: entries counted by |rho| class."""
     k = code.k
-    counts = {}
+    counts = Counter()
     for w in enumerate_codewords(code):
         comp = [0] * (k + 1)
         for x in w:
             comp[abs(rho(k, x))] += 1
-        key = tuple(comp)
-        counts[key] = counts.get(key, 0) + 1
-    return SweTable(k=k, n=code.n, counts=counts)
+        counts[tuple(comp)] += 1
+    kernel = counts[(code.n,) + (0,) * k]  # combinations giving the zero word
+    return SweTable(k=k, n=code.n,
+                    counts={c: v // kernel for c, v in counts.items()})
 
 
 def theta_substitution(code: LinearCode, T) -> FracSeries:
     """Theta series of A_2k(C) by substituting f_i into the swe."""
+    from .modforms import theta_f
+    from .series import FracSeries, mul, power
     k = code.k
     table = swe(code)
     fs = [theta_f(k, i, T) for i in range(k + 1)]
-    pow_cache = {}
-
-    def fpow(i, m):
-        if (i, m) not in pow_cache:
-            pow_cache[(i, m)] = power(fs[i], m)
-        return pow_cache[(i, m)]
-
+    pows = {(i, mult): power(fs[i], mult)
+            for comp in table.counts for i, mult in enumerate(comp) if mult}
     acc = None
     for comp, cnt in sorted(table.counts.items()):
         term = FracSeries.constant(cnt, T, 4 * k)
         for i, mult in enumerate(comp):
             if mult:
-                term = mul(term, fpow(i, mult))
+                term = mul(term, pows[i, mult])
         acc = term if acc is None else acc + term
     return acc
 
@@ -199,27 +201,23 @@ def theta_cosets(code: LinearCode, norm_cap: int) -> FracSeries:
 
     Exponents are t^(norm/2); grid denominator 4k.
     """
+    from fractions import Fraction
+    from .series import FracSeries
     k, m = code.k, code.modulus
     if norm_cap > 12:
         raise TooLarge("norm cap restricted to <= 12")
     budget = 2 * k * norm_cap  # bound on |v|^2 in the unscaled lattice
-    # candidate integer values per residue class mod 2k, sorted by square
-    cands = {}
-    for r in range(m):
-        vals = []
-        lo = -int(math.isqrt(budget)) - m
-        hi = int(math.isqrt(budget)) + m
-        for v in range(lo, hi + 1):
-            if v % m == r and v * v <= budget:
-                vals.append((v * v, v))
-        cands[r] = sorted(vals)
-    counts = {}
+    # squares of the integers of each residue class mod 2k, ascending
+    bound = math.isqrt(budget)
+    squares = {r: sorted(v * v for v in range(-bound, bound + 1) if v % m == r)
+               for r in range(m)}
+    counts = Counter()
 
     def dfs(word, idx, used):
         if idx == len(word):
-            counts[used] = counts.get(used, 0) + 1
+            counts[used] += 1
             return
-        for sq, _v in cands[word[idx]]:
+        for sq in squares[word[idx]]:
             if used + sq > budget:
                 break
             dfs(word, idx + 1, used + sq)
@@ -227,7 +225,9 @@ def theta_cosets(code: LinearCode, norm_cap: int) -> FracSeries:
     for w in enumerate_codewords(code):
         dfs(w, 0, 0)
     T = Fraction(norm_cap, 2) + Fraction(1, 4 * k)
-    return FracSeries.from_terms(4 * k, T, counts)
+    # norm 0 comes only from the zero word, once per kernel element
+    return FracSeries.from_terms(
+        4 * k, T, {e: c // counts[0] for e, c in counts.items()})
 
 
 # ---------------------------------------------------------------------------

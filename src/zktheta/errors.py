@@ -55,7 +55,7 @@ class TooLarge(ZkThetaError):
 
 
 class SearchExhausted(ZkThetaError):
-    """Randomized code search hit its trial budget without success."""
+    """No database entry or quaternionic block gave a Type II code."""
 
 
 class DomainError(ZkThetaError):

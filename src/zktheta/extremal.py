@@ -20,7 +20,6 @@ decide existence.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 import operator
@@ -330,6 +329,7 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
     """
     if workers <= 1 or len(ns_list) < 2 * workers:
         return chunk(k, ns_list)
+    import concurrent.futures
     size = (len(ns_list) + workers - 1) // workers
     runs = [ns_list[i:i + size] for i in range(0, len(ns_list), size)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:

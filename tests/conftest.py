@@ -228,6 +228,43 @@ def padded_certificate(n: int, k: int):
     return ok, min_c, min_e
 
 
+def naive_codewords(code):
+    """Every sum c_i * row_i mod 2k, c in lexicographic order.
+
+    Oracle for codes.enumerate_codewords, which steps prefix sums; here
+    each word is rebuilt from all r rows.
+    """
+    m, n = code.modulus, code.n
+    for coeffs in itertools.product(range(m), repeat=code.rank):
+        word = [0] * n
+        for c, row in zip(coeffs, code.rows):
+            for idx in range(n):
+                word[idx] += c * row[idx]
+        yield tuple(x % m for x in word)
+
+
+def naive_verify_type2(code):
+    """codes.Type2Report from the set of distinct codewords.
+
+    Oracle for codes.verify_type2, which counts weights without a set and
+    reads freeness off the number of zero words: here the code is free iff
+    its (2k)^r combinations give (2k)^r distinct words, and the weight of x
+    is min(x, 2k - x)^2, without codes.rho.
+    """
+    from zktheta.codes import Type2Report
+
+    k, m = code.k, code.modulus
+    words = set(naive_codewords(code))
+    weights = {sum(min(x, m - x) ** 2 for x in w) for w in words}
+    gram_ok = all(sum(a * b for a, b in zip(r1, r2)) % m == 0
+                  for r1 in code.rows for r2 in code.rows)
+    free_ok = len(words) == m ** code.rank
+    return Type2Report(
+        self_dual=gram_ok and free_ok and 2 * code.rank == code.n,
+        all_weights_div_4k=all(w % (4 * k) == 0 for w in weights),
+        d_E=min((w for w in weights if w), default=0))
+
+
 @pytest.fixture(scope="session")
 def r8_counts():
     return brute_force_r8(12)

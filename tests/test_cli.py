@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import zktheta
 from zktheta.cli import run
 from zktheta.codes import search_c8
+from zktheta.extremal import profile
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -188,8 +192,7 @@ def test_bad_input_one_line_error(argv, code, capsys):
 
 
 def test_python_m_zktheta():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-m", "zktheta", "e4", "--terms", "5"],
         capture_output=True, text=True, env=env, timeout=60)
@@ -209,3 +212,67 @@ def test_repeat_invocations_byte_identical(argv, capsys):
     rc2, out2, _ = invoke(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_extremal_table_matches_profile(k, capsys):
+    header = ["n", "k", "j", "mu", "nu", "beta1", "beta2"]
+    for n in (8, 16, 24, 96, 104, 112, 552):
+        prof = profile(n, k)
+        row = [str(v) for v in (n, k, prof.j, prof.mu, prof.nu,
+                                prof.beta1, prof.beta2)]
+        argv = ("extremal", "--n", str(n), "--k", str(k))
+        rc, out, _ = invoke(capsys, "--format", "csv", *argv)
+        assert rc == 0
+        assert out.splitlines() == [",".join(header), ",".join(row)]
+        rc, out, _ = invoke(capsys, *argv)
+        assert rc == 0
+        assert [line.split() for line in out.splitlines()] == [header, row]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("n,k,line", [
+    (12, 1, "error: InvalidLength: length 12 is not a positive multiple of 8"),
+    (0, 1, "error: InvalidLength: length 0 is not a positive multiple of 8"),
+    (24, 0, "error: InvalidModulus: k must be >= 1, got 0"),
+])
+def test_extremal_bad_input_line(fmt, n, k, line, capsys):
+    rc, out, err = invoke(capsys, "--format", fmt,
+                          "extremal", "--n", str(n), "--k", str(k))
+    assert (rc, out, err) == (1, "", line + "\n")
+
+
+FOOTPRINT = """
+import io, sys
+before = set(sys.modules)
+from zktheta import cli
+sys.stdout = io.StringIO()
+for argv in (["e4", "--terms", "1"], ["code", "search", "--k", "2"],
+             ["extremal", "--n", "24", "--k", "1"],
+             ["--workers", "1", "crossover", "--k", "1", "--from", "8",
+              "--to", "48"]):
+    assert cli.run(argv) == 0, argv
+loaded = sorted({"mpmath", "concurrent.futures", "zktheta.asymptotics"}
+                & (set(sys.modules) - before))
+assert cli.run(["asymptotics", "--digits", "15"]) == 0
+sys.__stdout__.write(repr((loaded, "mpmath" in sys.modules)))
+"""
+
+
+def test_subcommands_import_only_their_layers():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(([], True))
+
+
+def test_lazy_exports_are_the_submodule_objects():
+    for name in zktheta.__all__:
+        obj = getattr(zktheta, name)
+        assert obj.__module__.startswith("zktheta.")
+        assert obj is getattr(sys.modules[obj.__module__], name)
+    from zktheta import find_saddle
+    assert find_saddle is zktheta.asymptotics.find_saddle
+    with pytest.raises(AttributeError):
+        zktheta.no_such_name

@@ -1,7 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import naive_codewords, naive_verify_type2
 from zktheta.codes import (
     LinearCode,
     enumerate_codewords,
@@ -157,3 +161,43 @@ def test_gram_is_identity_times_minus_one():
     m = code.modulus
     for r1, r2 in itertools.product(code.rows, repeat=2):
         assert sum(a * b for a, b in zip(r1, r2)) % m == 0
+
+
+@st.composite
+def small_codes(draw):
+    """Codes with k <= 3, length <= 6 and rank 0..3: mostly not free and not
+    self-orthogonal, since the rows are drawn at random."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, 2 * k - 1)] * n)
+    return LinearCode(k=k, n=n, rows=tuple(draw(st.lists(row, max_size=3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+@example(LinearCode(k=1, n=2, rows=((1, 1),)))  # self-dual, weight 2
+@example(LinearCode(k=1, n=4, rows=((1, 1, 1, 1),)))  # weights 0 and 4
+@example(LinearCode(k=2, n=4, rows=((2, 2, 0, 0), (1, 3, 1, 3))))  # not free
+@example(LinearCode(k=3, n=3, rows=()))  # rank 0: the zero word alone
+def test_codes_kernel_matches_naive(code):
+    assert list(enumerate_codewords(code)) == list(naive_codewords(code))
+    assert verify_type2(code) == naive_verify_type2(code)
+    # the swe counts each distinct codeword once, free or not
+    m = code.modulus
+    comps = Counter(tuple(Counter(min(x, m - x) for x in w).get(c, 0)
+                          for c in range(code.k + 1))
+                    for w in set(naive_codewords(code)))
+    assert swe(code).counts == comps
+
+
+def test_non_free_code_counts_each_word_once():
+    # over Z_4, 2 * (2, 2, 0, ...) = 0: four combinations give two codewords
+    code = LinearCode(k=2, n=8, rows=((2, 2, 0, 0, 0, 0, 0, 0),))
+    assert len(list(enumerate_codewords(code))) == 4
+    table = swe(code)
+    assert table.counts == {(8, 0, 0): 1, (6, 0, 2): 1}
+    assert table.total() == 2
+    direct = theta_cosets(code, 2)
+    assert direct.nonzero_terms()[0] == (0, 1)
+    assert direct == theta_substitution(code, direct.T)
+    assert not verify_type2(code).self_dual
