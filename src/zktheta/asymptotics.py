@@ -14,7 +14,7 @@ the extremal module and the two are compared, never conflated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -25,14 +25,11 @@ from .modforms import h_series
 from .series import FracSeries
 
 
-@dataclass
-class SaddleData:
-    y0: mp.mpf
-    t0: mp.mpf
-    c1: mp.mpf
-    c2: mp.mpf
-    digits: int
-    h_terms: int  # product cutoff used at the saddle
+class SaddleData(namedtuple("SaddleData", "y0 t0 c1 c2 digits h_terms")):
+    """mpf saddle values at `digits` digits; h_terms is the product cutoff
+    used at the saddle."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -182,13 +179,13 @@ def asymptotic_b(n: int, k: int, sd: SaddleData) -> mp.mpf:
     return +val
 
 
-@dataclass
-class RatioRow:
-    n: int
-    ratio: mp.mpf      # |b_{2(mu+2)} / b_{2(mu+1)}|, exact integers divided
-    threshold: int     # 24*mu - 240*nu + 744
-    margin: mp.mpf     # ratio - threshold; shares beta2's sign while both
-                       # b-coefficients are negative, so beta2 < 0 <=> margin < 0
+class RatioRow(namedtuple("RatioRow", "n ratio threshold margin")):
+    """ratio = |b_{2(mu+2)} / b_{2(mu+1)}| (exact integers divided),
+    threshold = 24*mu - 240*nu + 744 and margin = ratio - threshold, which
+    shares beta2's sign while both b-coefficients are negative, so
+    beta2 < 0 <=> margin < 0."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {

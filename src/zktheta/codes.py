@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
                      TooLarge)
@@ -20,21 +19,19 @@ from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
 ENUM_GUARD = 10 ** 7
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    k: int              # modulus is 2k
-    n: int              # length
-    rows: tuple         # generator rows, entries reduced mod 2k
+class LinearCode(namedtuple("LinearCode", "k n rows")):
+    """Length-n code over Z_2k spanned by generator rows, entries reduced
+    mod 2k."""
 
-    def __post_init__(self):
-        m = 2 * self.k
-        object.__setattr__(
-            self, "rows",
-            tuple(tuple(x % m for x in row) for row in self.rows),
-        )
-        for row in self.rows:
-            if len(row) != self.n:
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int, rows):
+        m = 2 * k
+        rows = tuple(tuple(x % m for x in row) for row in rows)
+        for row in rows:
+            if len(row) != n:
                 raise ValueError("generator row length != n")
+        return super().__new__(cls, k, n, rows)
 
     @property
     def modulus(self) -> int:
@@ -103,11 +100,12 @@ def enumerate_codewords(code: LinearCode):
     yield from words
 
 
-@dataclass
-class Type2Report:
-    self_dual: bool
-    all_weights_div_4k: bool
-    d_E: int  # minimum nonzero Euclidean weight (0 if code is trivial)
+class Type2Report(namedtuple("Type2Report",
+                             "self_dual all_weights_div_4k d_E")):
+    """d_E is the minimum nonzero Euclidean weight (0 if the code is
+    trivial)."""
+
+    __slots__ = ()
 
     @property
     def is_type2(self) -> bool:
@@ -142,11 +140,11 @@ def verify_type2(code: LinearCode) -> Type2Report:
                        d_E=min(filter(None, weights), default=0))
 
 
-@dataclass
-class SweTable:
-    k: int
-    n: int
-    counts: dict  # composition (n_0,...,n_k) -> number of codewords
+class SweTable(namedtuple("SweTable", "k n counts")):
+    """counts maps a composition (n_0, ..., n_k) to its number of
+    codewords."""
+
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts.values())

@@ -10,12 +10,16 @@ t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
 
 and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
 b is one dot product of a running product against a factor fixed per run:
-the tail b's dot C_mu = theta1^(3mu) * B * h^(mu+1), stepped once per mu,
-against Q_nu = theta1^(nu-1) * E4^(2-nu) and Q_nu * w; the full b-list
-steps R * w^(m*g) by a giant w^m and dots it against baby powers of w.  The
-putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and
-its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)}
-decide existence.  Everything here is exact integer arithmetic.
+the tail b's dot C_mu = theta1^(3mu) * B * h^(mu+1), walked down from the
+run's largest mu by (theta1^3 * h)^(-1) with the truncation falling by one
+per step, against Q_nu = theta1^(nu-1) * E4^(2-nu) and Q_nu * w; the full
+b-list steps R * w^(m*g) by a giant w^m and dots it against baby powers of
+w.  The putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
+Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
+beta2 = beta*_{2(mu+2)} decide existence.  The Theorem 1 sweep certifies
+positivity in full once per run and then, while it holds, only the slots
+each longer length adds to the window.  Everything here is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
                      OutOfTruncation, PrecisionTooSmall)
@@ -53,16 +56,11 @@ def shape(n: int):
     return j, mu, nu
 
 
-@dataclass
-class ExtremalProfile:
-    n: int
-    k: int
-    j: int
-    mu: int
-    nu: int
-    b: list  # b_{2s}, s = 0..mu+2, exact integers
-    beta1: int
-    beta2: int
+class ExtremalProfile(namedtuple("ExtremalProfile",
+                                 "n k j mu nu b beta1 beta2")):
+    """Shape, b-list (b_{2s}, s = 0..mu+2, exact ints) and beta values."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -77,14 +75,13 @@ class ExtremalProfile:
         }
 
 
-@dataclass
-class PositivityReport:
-    n: int
-    k: int
-    max_exponent: int  # checked up to this t-exponent (= mu)
-    min_coeff: object  # smallest coefficient seen in the checked window
-    min_exponent: Fraction
-    verdict: bool
+class PositivityReport(namedtuple(
+        "PositivityReport",
+        "n k max_exponent min_coeff min_exponent verdict")):
+    """The certificate checked up to t-exponent max_exponent (= mu): the
+    least coefficient seen in the window, its exponent and the verdict."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -101,14 +98,18 @@ class PositivityReport:
 # public operations
 # ---------------------------------------------------------------------------
 
+def _coeff_of_product(x: FracSeries, y: FracSeries, e: int):
+    """[t^e] x*y on the integer grid, as one exact dot product."""
+    if min(x.T, y.T) <= e:
+        raise OutOfTruncation(f"[t^{e}] needs truncation above {e}")
+    ys = y.coeffs[:e + 1]
+    ys += [0] * (e + 1 - len(ys))
+    return sum(map(operator.mul, x.coeffs[:e + 1], reversed(ys)))
+
+
 def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
     """b_{2s} = -(j/s) * [t^s] x*y, an exact division (else ArithmeticError)."""
-    if min(x.T, y.T) <= s:
-        raise OutOfTruncation(f"[t^{s}] needs truncation above {s}")
-    ys = y.coeffs[:s + 1]
-    ys += [0] * (s + 1 - len(ys))
-    dot = sum(map(operator.mul, x.coeffs[:s + 1], reversed(ys)))
-    b, rem = divmod(-j * dot, s)
+    b, rem = divmod(-j * _coeff_of_product(x, y, s), s)
     if rem:
         raise ArithmeticError(f"non-integral b at s={s}")
     return b
@@ -272,6 +273,28 @@ def _certify(th1pow: FracSeries, cert, k: int, mu: int):
         [(r, mul(th1pow, f.truncate(T))) for r, f in fparts], k, mu)
 
 
+def _new_slots_hold(th1pow: FracSeries, cert, mu0: int, mu: int) -> bool:
+    """_certify's verdict at mu, given that it held at mu0 <= mu for a lower
+    power of theta1 than th1pow.
+
+    theta1 is the theta series of sqrt(2k)*Z^8: its coefficients are
+    nonnegative integers and theta1(0) = 1.  A layer L whose slots 0..e are
+    all >= 0 therefore has [t^e] theta1^d * L >= [t^e] L for d >= 0.  The
+    verdict at mu0 put every window slot at >= 0 (the head layer's slot 0
+    is B(0) = 0), so each of them is at least as large now, and only the
+    slots the window gained since mu0 need a look: one dot product each.  An
+    f-layer's leading slot i^2 // 4k was positive at mu0 and lay below
+    mu0 + 2, so every slot beneath it is a window slot and it stays positive.
+    """
+    bracket, fparts = cert
+    if any(_coeff_of_product(th1pow, bracket, e) <= 0
+           for e in range(mu0 + 2, mu + 2)):
+        return False
+    # an f-layer's window is slots 0..mu+1 on the coset r = 0, else 0..mu
+    return not any(_coeff_of_product(th1pow, f, e) < 0 for r, f in fparts
+                   for e in range(mu0 + 1 + (r == 0), mu + 1 + (r == 0)))
+
+
 def positivity_certificate(n: int, k: int) -> PositivityReport:
     """Check the positivity that drives the d_E bound at this (n, k).
 
@@ -297,18 +320,14 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
 # sweep drivers (incremental in j, deterministic merges)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanRow:
-    n: int
-    beta1: int
-    beta2: int
+ScanRow = namedtuple("ScanRow", "n beta1 beta2")
 
 
-@dataclass
-class ScanResult:
-    k: int
-    rows: list
-    first_negative: Optional[int]  # least n with beta2 < 0, if any
+class ScanResult(namedtuple("ScanResult", "k rows first_negative")):
+    """ScanRows sorted by n; first_negative is the least n with beta2 < 0,
+    or None."""
+
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -339,20 +358,26 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
 
 def _per_mu(bracket: FracSeries, th1: FracSeries, h: FracSeries,
             ns_list: list):
-    """Yield (n, j, mu, nu, C_mu) along an ascending run of lengths.
+    """Yield (n, j, mu, nu, C_mu) along an ascending run, longest first.
 
-    C_mu = theta1^(3mu) * B * h^(mu+1) steps by the fixed series
-    theta1^3 * h once per mu, and theta1^(j-1) * B * E4^(2-nu) * h^(mu+1)
-    = C_mu * Q_nu with Q_nu from _q_factors.
+    C_mu = theta1^(3mu) * B * h^(mu+1) starts at the run's largest mu as one
+    power of step = theta1^3 * h and walks down by step^(-1), integral since
+    step(0) = 1; the inverse is built only if the run spans more than one mu.
+    Each step down cuts the truncation by one, keeping the inputs' margin
+    T - mu_max above mu.  theta1^(j-1) * B * E4^(2-nu) * h^(mu+1) =
+    C_mu * Q_nu with Q_nu from _q_factors.
     """
     step = mul(power(th1, 3), h)
-    mu = ns_list[0] // 24
+    mu = ns_list[-1] // 24
     c = mul(mul(power(step, mu), bracket), h)
-    for n in ns_list:
+    inv = None
+    for n in reversed(ns_list):
         j, mu_n, nu = shape(n)
-        while mu < mu_n:
-            c = mul(c, step)
-            mu += 1
+        while mu > mu_n:
+            if inv is None:
+                inv = power(step, -1)
+            c = mul(c.truncate(c.T - 1), inv)
+            mu -= 1
         yield n, j, mu, nu, c
 
 
@@ -370,7 +395,8 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
     They are _b_at(C_mu, Q_nu) and _b_at(C_mu, Q_nu * w), w = E4^3 * h:
-    one product per mu, and two dot products per length.
+    one product per mu on the downward walk of _per_mu, and two dot
+    products per length; the rows are put back in ascending order.
     """
     if not ns_list:
         return []
@@ -379,8 +405,9 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     h = h_series(T)
     w = mul(power(eisenstein_e4(T), 3), h)
     qs = {nu: (q, mul(q, w)) for nu, q in _q_factors(th1, ns_list).items()}
-    return [(n, _b_at(c, qs[nu][0], j, mu + 1), _b_at(c, qs[nu][1], j, mu + 2))
+    rows = [(n, _b_at(c, qs[nu][0], j, mu + 1), _b_at(c, qs[nu][1], j, mu + 2))
             for n, j, mu, nu, c in _per_mu(bracket, th1, h, ns_list)]
+    return rows[::-1]
 
 
 def crossover_scan(k: int, n_from: int, n_to: int,
@@ -400,19 +427,17 @@ def crossover_scan(k: int, n_from: int, n_to: int,
     return ScanResult(k=k, rows=rows, first_negative=first)
 
 
-@dataclass
-class Theorem1Row:
-    n: int
-    beta1: int
-    positivity: bool
+Theorem1Row = namedtuple("Theorem1Row", "n beta1 positivity")
 
 
 def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     """beta1 > 0 plus positivity certificate for all n = 0 mod 8 up to n_max.
 
-    Incremental over j: each step multiplies theta1^(j-1) by theta1, and
-    each length costs k + 1 products with the fixed certificate factors;
-    beta1 is a dot product of C_mu, stepped once per mu, against Q_nu.
+    Incremental over j: each step multiplies theta1^(j-1) by theta1.  The
+    certificate is checked in full (k + 1 products) at the first length of
+    each worker's run and after a failed length; while it holds, a longer
+    length checks only the slots its window gains (_new_slots_hold).  beta1
+    is a dot product of C_mu, walked down once per mu, against Q_nu.
     Results are identical to the per-n operations.
     """
     _check_length(n_max)
@@ -423,21 +448,28 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
 def _theorem1_chunk(k: int, ns_list: list) -> list:
     """Theorem1Row for an ascending run of lengths, all on the integer grid.
 
-    f0^(8j-1) = theta1^(j-1) * f0^7: theta1^(j-1) is the running power of
-    the certificate, times factors fixed per chunk; beta1 = -b_{2(mu+1)} =
-    -_b_at(C_mu, Q_nu) from the same C_mu as the tail b's.
+    beta1 = -b_{2(mu+1)} = -_b_at(C_mu, Q_nu) is read off the downward C_mu
+    walk of _per_mu.  The certificate rides the upward walk of theta1^(j-1):
+    f0^(8j-1) = theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a
+    factor fixed per run.  _certify runs at the first length and after a
+    failed one; after a length that held, _new_slots_hold decides.
     """
     if not ns_list:
         return []
     th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
     qs = _q_factors(th1, ns_list)
+    beta1 = {n: -_b_at(c, qs[nu], j, mu + 1) for n, j, mu, nu, c
+             in _per_mu(cert[0], th1, h_series(th1.T), ns_list)}
     j0 = ns_list[0] // 8
     th1pow = power(th1, j0 - 1)
-    rows = []
-    for n, j, mu, nu, c in _per_mu(cert[0], th1, h_series(th1.T), ns_list):
+    rows, held = [], None  # held: mu of the last length that was certified
+    for n in ns_list:
+        j, mu, _ = shape(n)
         for _ in range(j - j0):
             th1pow = mul(th1pow, th1)
         j0 = j
-        rows.append(Theorem1Row(n=n, beta1=-_b_at(c, qs[nu], j, mu + 1),
-                                positivity=_certify(th1pow, cert, k, mu)[0]))
+        ok = (_certify(th1pow, cert, k, mu)[0] if held is None
+              else _new_slots_hold(th1pow, cert, held, mu))
+        held = mu if ok else None
+        rows.append(Theorem1Row(n, beta1[n], ok))
     return rows

@@ -252,8 +252,8 @@ for argv in (["e4", "--terms", "1"], ["code", "search", "--k", "2"],
              ["--workers", "1", "crossover", "--k", "1", "--from", "8",
               "--to", "48"]):
     assert cli.run(argv) == 0, argv
-loaded = sorted({"mpmath", "concurrent.futures", "zktheta.asymptotics"}
-                & (set(sys.modules) - before))
+loaded = sorted({"mpmath", "concurrent.futures", "zktheta.asymptotics",
+                 "dataclasses", "inspect"} & (set(sys.modules) - before))
 assert cli.run(["asymptotics", "--digits", "15"]) == 0
 sys.__stdout__.write(repr((loaded, "mpmath" in sys.modules)))
 """

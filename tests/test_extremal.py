@@ -333,9 +333,55 @@ def test_theorem1_sweep_worker_determinism(k):
 
 
 def test_theorem1_sweep_matches_per_n_ops():
+    # the one-run sweep against the per-n operations, then against it: runs
+    # starting in every nu class, each spanning two values of mu, and a
+    # three-worker sweep, whose runs start at n = 8, 168 and 328
     for k in range(1, 7):
-        for row in theorem1_sweep(k, 480):
+        rows = theorem1_sweep(k, 480)
+        for row in rows:
             mu = row.n // 24
             assert row.beta1 == beta_stars(row.n, k)[0]
             assert row.beta1 == -matching_b_list(row.n, k, 1)[mu + 1]
             assert row.positivity == positivity_certificate(row.n, k).verdict
+        for n_from in (96, 104, 136):
+            ns = range(n_from, n_from + 25, 8)
+            assert extremal._theorem1_chunk(k, list(ns)) == \
+                [rows[n // 8 - 1] for n in ns]
+        assert theorem1_sweep(k, 480, workers=3) == rows
+
+
+@pytest.mark.parametrize("k,edits,flip", [
+    # the head slot 12 enters the window at mu = 11 (the edit is a multiple
+    # of every s <= 21, so each b stays integral)
+    (2, {(0, 12): -math.lcm(*range(1, 22)) * 10 ** 30}, (True, False)),
+    # slot 12 of an f-layer enters at mu = 12 on the coset 1/8 + Z ...
+    (2, {(1, 12): -10 ** 40}, (True, False)),
+    # ... and at mu = 11 on the integer coset (i = 4)
+    (4, {(4, 12): -10 ** 40}, (True, False)),
+    # [t^1] = 16 - 100 + 32*(j - 1) on the f_1 layer: negative at first,
+    # positive from j = 4; the verdict goes False -> True more than once
+    (1, {(1, 1): -100}, (False, True)),
+])
+def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
+    """Every length's verdict equals a full _certify, with certificate
+    factors edited so it fails and recovers: edits adds a value at (layer,
+    slot), layer 0 being the head bracket and i the f-layer of f_i."""
+    real = extremal._certificate_factors
+
+    def edited(k, T):
+        th1, (bracket, fparts) = real(k, T)
+        layers = [bracket] + [f for _, f in fparts]
+        for (i, slot), c in edits.items():
+            coeffs = list(layers[i].coeffs)
+            coeffs[slot] += c
+            layers[i] = FracSeries(1, T, coeffs)
+        return th1, (layers[0],
+                     [(r, f) for (r, _), f in zip(fparts, layers[1:])])
+
+    monkeypatch.setattr(extremal, "_certificate_factors", edited)
+    ns = list(range(8, 481, 8))
+    th1, cert = edited(k, 22)
+    full = [extremal._certify(power(th1, n // 8 - 1), cert, k, n // 24)[0]
+            for n in ns]
+    assert flip in zip(full, full[1:])
+    assert [r.positivity for r in extremal._theorem1_chunk(k, ns)] == full
