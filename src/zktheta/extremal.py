@@ -16,10 +16,10 @@ per step, against Q_nu = theta1^(nu-1) * E4^(2-nu) and Q_nu * w; the full
 b-list steps R * w^(m*g) by a giant w^m and dots it against baby powers of
 w.  The putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
 Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
-beta2 = beta*_{2(mu+2)} decide existence.  The Theorem 1 sweep certifies
-positivity in full once per run and then, while it holds, only the slots
-each longer length adds to the window.  Everything here is exact integer
-arithmetic.
+beta2 = beta*_{2(mu+2)} decide existence.  The positivity certificate
+reads each window slot as one dot product; the Theorem 1 sweep reads the
+whole window once per run, then only the slots each longer length adds.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -238,80 +238,58 @@ def _certificate_factors(k: int, T):
     return th1, (bracket, [(r, mul(f07, b)) for r, b in brks])
 
 
-def _positivity(s1: FracSeries, pis: list, k: int, mu: int):
-    """(verdict, least coefficient, its exponent) of the certificate series.
+def _verdict(th1pow: FracSeries, cert, k: int, above: int, mu: int):
+    """(verdict, least coefficient, its exponent) over the window slots with
+    exponent in (above, mu + 1] of th1pow = theta1^(j-1) times each factor
+    of cert, each slot one _coeff_of_product (conditions:
+    positivity_certificate).  The head layer comes first, each slot
+    entering the least coefficient; then the f-layers i = 1..k, slot s of
+    layer i at exponent s + r/4k, only nonzero slots entering; the first
+    minimum wins.  above = -1 reads the whole window.
 
-    s1 is the integer-grid layer; (r, pi) = pis[i-1] is the layer
-    t^(r/4k) * pi for i = 1..k, whose exponents <= mu + 1 are pi's slots
-    0..mu+1 if r = 0, else 0..mu (conditions: positivity_certificate).  The
-    least coefficient is the first minimum over s1 at t^1..t^(mu+1), then
-    the nonzero terms of each pi's window, in that order.
+    The sweep passes above = mu0 + 1 after the length at mu0 held, with a
+    lower power of theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its
+    coefficients are nonnegative and theta1(0) = 1, so a layer L whose
+    slots 0..e are all >= 0 has [t^e] theta1^d * L >= [t^e] L for d >= 0.
+    Every slot below a window slot is a window slot (the head layer's slot
+    0 is B(0) = 0), so every slot that held at mu0 still holds.
     """
-    head = [s1.coeff_index(e) for e in range(1, mu + 2)]
-    min_c = min(head)
-    min_e = Fraction(head.index(min_c) + 1)
-    ok = min_c > 0
+    bracket, fparts = cert
+    ok, min_c, min_e = True, math.inf, None
+    for e in range(max(above + 1, 1), mu + 2):
+        c = _coeff_of_product(th1pow, bracket, e)
+        ok = ok and c > 0
+        if c < min_c:
+            min_c, min_e = c, Fraction(e)
     D = 4 * k
-    for i, (r, pi) in enumerate(pis, start=1):
-        window = pi.coeffs[:mu + 2 if r == 0 else mu + 1]
-        # the leading exponent i^2/4k must carry a positive coefficient
-        if pi.coeff_index(i * i // D) <= 0 or min(window, default=0) < 0:
-            ok = False
-        least = min((c for c in window if c), default=None)
-        if least is not None and least < min_c:
-            min_c, min_e = least, Fraction(window.index(least) * D + r, D)
+    for i, (r, f) in enumerate(fparts, start=1):
+        for s in range(max(above + (r == 0), 0), mu + 1 + (r == 0)):
+            c = _coeff_of_product(th1pow, f, s)
+            ok = ok and (c > 0 if s == i * i // D else c >= 0)
+            if c and c < min_c:
+                min_c, min_e = c, Fraction(s * D + r, D)
     return ok, min_c, min_e
-
-
-def _certify(th1pow: FracSeries, cert, k: int, mu: int):
-    """_positivity for theta1^(j-1) times each fixed factor, cut at mu + 2;
-    theta1^(j-1) * bracket is the integer-grid layer."""
-    bracket, fparts = cert
-    T = mu + 2
-    return _positivity(
-        mul(th1pow, bracket.truncate(T)),
-        [(r, mul(th1pow, f.truncate(T))) for r, f in fparts], k, mu)
-
-
-def _new_slots_hold(th1pow: FracSeries, cert, mu0: int, mu: int) -> bool:
-    """_certify's verdict at mu, given that it held at mu0 <= mu for a lower
-    power of theta1 than th1pow.
-
-    theta1 is the theta series of sqrt(2k)*Z^8: its coefficients are
-    nonnegative integers and theta1(0) = 1.  A layer L whose slots 0..e are
-    all >= 0 therefore has [t^e] theta1^d * L >= [t^e] L for d >= 0.  The
-    verdict at mu0 put every window slot at >= 0 (the head layer's slot 0
-    is B(0) = 0), so each of them is at least as large now, and only the
-    slots the window gained since mu0 need a look: one dot product each.  An
-    f-layer's leading slot i^2 // 4k was positive at mu0 and lay below
-    mu0 + 2, so every slot beneath it is a window slot and it stays positive.
-    """
-    bracket, fparts = cert
-    if any(_coeff_of_product(th1pow, bracket, e) <= 0
-           for e in range(mu0 + 2, mu + 2)):
-        return False
-    # an f-layer's window is slots 0..mu+1 on the coset r = 0, else 0..mu
-    return not any(_coeff_of_product(th1pow, f, e) < 0 for r, f in fparts
-                   for e in range(mu0 + 1 + (r == 0), mu + 1 + (r == 0)))
 
 
 def positivity_certificate(n: int, k: int) -> PositivityReport:
     """Check the positivity that drives the d_E bound at this (n, k).
 
-    Two layers, both exact:
+    Two layers, both exact, read through exponent mu + 1:
       * t * theta1^(j-1) * (theta1 E4' - theta1' E4): every integer
         t-exponent 1..mu+1 must carry a strictly positive coefficient
         (this is the series the proof needs positive up to exponent mu).
       * for each i = 1..k, the scaled combination
         4k * t * f0^(8j-1) * (f0 f_i' - f0' f_i), which lives on the coset
         i^2/4k + Z: no coefficient with exponent <= mu+1 may be negative,
-        and the leading exponent i^2/(4k) must be positive.  Exponents
-        absent from the underlying lattice sum carry coefficient zero and
-        do not fail the certificate.
+        and the leading exponent i^2/(4k) must be positive when it lies in
+        that window.  Its coefficient is w_i * i^2 > 0 (w_i = 2 for i = k,
+        else 1; f0(0) = 1), so past the window it holds by construction.
+        Exponents absent from the underlying lattice sum carry coefficient
+        zero and do not fail the certificate.
     """
     j, mu, nu = shape(n)
     th1, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e = _certify(power(th1, j - 1), cert, k, mu)
+    ok, min_c, min_e = _verdict(power(th1, j - 1), cert, k, -1, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -434,11 +412,11 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     """beta1 > 0 plus positivity certificate for all n = 0 mod 8 up to n_max.
 
     Incremental over j: each step multiplies theta1^(j-1) by theta1.  The
-    certificate is checked in full (k + 1 products) at the first length of
-    each worker's run and after a failed length; while it holds, a longer
-    length checks only the slots its window gains (_new_slots_hold).  beta1
-    is a dot product of C_mu, walked down once per mu, against Q_nu.
-    Results are identical to the per-n operations.
+    certificate reads its whole window at the first length of each worker's
+    run and after a failed length; while it holds, a longer length reads
+    only the slots its window gains (_verdict).  beta1 is a dot product of
+    C_mu, walked down once per mu, against Q_nu.  Results are identical to
+    the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -451,8 +429,8 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     beta1 = -b_{2(mu+1)} = -_b_at(C_mu, Q_nu) is read off the downward C_mu
     walk of _per_mu.  The certificate rides the upward walk of theta1^(j-1):
     f0^(8j-1) = theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a
-    factor fixed per run.  _certify runs at the first length and after a
-    failed one; after a length that held, _new_slots_hold decides.
+    factor fixed per run.  Each length reads the window slots above the top
+    exponent certified so far, or all of them if the last length failed.
     """
     if not ns_list:
         return []
@@ -462,14 +440,13 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
              in _per_mu(cert[0], th1, h_series(th1.T), ns_list)}
     j0 = ns_list[0] // 8
     th1pow = power(th1, j0 - 1)
-    rows, held = [], None  # held: mu of the last length that was certified
+    rows, held = [], -1  # held: top exponent certified so far, -1 for none
     for n in ns_list:
         j, mu, _ = shape(n)
         for _ in range(j - j0):
             th1pow = mul(th1pow, th1)
         j0 = j
-        ok = (_certify(th1pow, cert, k, mu)[0] if held is None
-              else _new_slots_hold(th1pow, cert, held, mu))
-        held = mu if ok else None
+        ok = _verdict(th1pow, cert, k, held, mu)[0]
+        held = mu + 1 if ok else -1
         rows.append(Theorem1Row(n, beta1[n], ok))
     return rows

@@ -193,10 +193,11 @@ def padded_certificate(n: int, k: int):
 
     Each f-layer 4k*t*(f0*f_i' - f0'*f_i) * f0^(8j-1) is built densely on the
     1/(4k) grid, with no coset bookkeeping and no use of theta1, and read
-    through every grid index up to 4k*(mu+1); the integer-grid layer is
-    t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions and the order in
-    which the least coefficient is found follow positivity_certificate.
-    Both powers come from binary_power, not from series.power.
+    through every grid index up to 4k*(mu+1), the window; the integer-grid
+    layer is t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions and the
+    order in which the least coefficient is found follow
+    positivity_certificate.  Both powers come from binary_power, not from
+    series.power.
     """
     from fractions import Fraction
 
@@ -220,7 +221,9 @@ def padded_certificate(n: int, k: int):
                              mul(euler_scaled(f0), fi), 1, -1)
         pi = mul(f0pow, brk)
         window = pi.coeffs[:D * (mu + 1) + 1]
-        if pi.coeff_index(i * i) <= 0 or min(window, default=0) < 0:
+        # the leading index i^2 must be positive if it is a window index
+        lead_ok = i * i > D * (mu + 1) or pi.coeff_index(i * i) > 0
+        if not lead_ok or min(window, default=0) < 0:
             ok = False
         least = min((c for c in window if c), default=None)
         if least is not None and least < min_c:

@@ -82,6 +82,13 @@ def test_theorem1_json(capsys):
     assert [r["n"] for r in payload["rows"]] == list(range(8, 73, 8))
 
 
+def test_theorem1_k9_small_lengths_pass(capsys):
+    # f_9's leading exponent 81/36 lies past the window at n = 8 and 16
+    rc, out, _ = invoke(capsys, "theorem1", "--k", "9", "--nmax", "24")
+    assert rc == 0
+    assert out.splitlines()[-1].split() == ["all_pass", "True"]
+
+
 def test_asymptotics_json(capsys):
     rc, out, _ = invoke(capsys, "--format", "json", "asymptotics")
     assert rc == 0

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import extremal_excess, matching_b_list, padded_certificate
+from conftest import (binary_power, extremal_excess, matching_b_list,
+                      padded_certificate)
 from zktheta import extremal
 from zktheta.errors import GridViolation, InvalidLength, PrecisionTooSmall
 from zktheta.extremal import (
-    _positivity,
+    _verdict,
     b_coefficients,
     beta_stars,
     crossover_scan,
@@ -136,12 +137,37 @@ def test_positivity_report_fields():
 
 
 def test_positivity_matches_padded_oracle():
-    # the coset form against the dense 1/(4k)-grid construction
-    for k in range(1, 7):
-        for n in range(8, 241, 8):
+    # the coset form against the dense 1/(4k)-grid construction; at k = 8, 9
+    # the leading slot of f_k lies past the window for n = 8, 16
+    cases = [(k, 240) for k in range(1, 7)] + [(8, 96), (9, 96)]
+    for k, n_max in cases:
+        for n in range(8, n_max + 1, 8):
             rep = positivity_certificate(n, k)
             assert (rep.verdict, rep.min_coeff, rep.min_exponent) == \
                 padded_certificate(n, k), (n, k)
+
+
+def test_positivity_k8_leading_slot_past_window():
+    # f_k's leading exponent k^2/4k = k/4 lies past the window mu + 1 at
+    # small n for k >= 8; its coefficient w_i * i^2 (w_k = 2, else 1) is
+    # positive by construction, so the verdict is True
+    for n, k in ((8, 8), (16, 9), (24, 12)):
+        assert positivity_certificate(n, k).verdict, (n, k)
+    for k in (8, 9):
+        D = 4 * k
+        for n in range(8, 49, 8):
+            assert positivity_certificate(n, k).verdict, (n, k)
+            # dense on the 1/(4k) grid, cut just past the last leading slot
+            T = k * k // D + 1
+            f0 = theta_f(k, 0, T)
+            f0pow = binary_power(f0, n - 1)
+            for i in range(1, k + 1):
+                fi = theta_f(k, i, T)
+                layer = mul(f0pow, linear_combine(
+                    mul(f0, euler_scaled(fi)), mul(euler_scaled(f0), fi),
+                    1, -1))
+                terms = layer.nonzero_terms()
+                assert terms[0] == (i * i, (2 if i == k else 1) * i * i)
 
 
 def test_f_bracket_off_coset_raises(monkeypatch):
@@ -160,41 +186,49 @@ def test_f_bracket_off_coset_raises(monkeypatch):
     assert extremal._f_bracket(2, 1, 4)[0] == 1
 
 
-def _layers(mu, edit=None):
-    """Hand-built positive inputs for _positivity at k = 4 (D = 16).
+def _hand_verdict(mu, edit=None, k=4, T=None):
+    """_verdict over hand-built positive layers cut at T (default mu + 2),
+    with theta1^(j-1) = 1.
 
-    The layer i sits on the coset r = i^2 mod 16 (1, 4, 9, 0), with its
-    leading term at slot i^2 // 16 (0, 0, 0, 1); edit maps (i, slot) to a
-    replacement coefficient.
+    The head layer is 0, 5, 5, ...; the f-layer i sits on the coset
+    r = i^2 mod 4k, with 7 from its leading slot i^2 // 4k on (at k = 4 the
+    cosets 1, 4, 9, 0 and leading slots 0, 0, 0, 1); edit maps (i, slot) to
+    a replacement coefficient, layer 0 being the head.
     """
-    s1 = FracSeries(1, mu + 2, [0] + [5] * (mu + 1))
-    pis = []
-    for i in range(1, 5):
-        coeffs = [7] * (mu + 2)
-        if i == 4:
-            coeffs[0] = 0
-        for (ei, slot), c in (edit or {}).items():
-            if ei == i:
-                coeffs[slot] = c
-        pis.append((i * i % 16, FracSeries(1, mu + 2, coeffs)))
-    return s1, pis
+    T = T or mu + 2
+    D = 4 * k
+    layers = [[0] + [5] * (T - 1)]
+    for i in range(1, k + 1):
+        layers.append([0] * (i * i // D) + [7] * (T - i * i // D))
+    for (i, slot), c in (edit or {}).items():
+        layers[i][slot] = c
+    cert = (FracSeries(1, T, layers[0]),
+            [(i * i % D, FracSeries(1, T, c))
+             for i, c in enumerate(layers[1:], start=1)])
+    return _verdict(FracSeries.constant(1, T), cert, k, -1, mu)
 
 
 def test_positivity_failing_branches():
     mu = 3
-    assert _positivity(*_layers(mu), 4, mu) == (True, 5, 1)
+    assert _hand_verdict(mu) == (True, 5, 1)
     # r = 0: slot mu + 1 is the exponent mu + 1, inside the window
-    assert _positivity(*_layers(mu, {(4, mu + 1): -1}), 4, mu) == \
+    assert _hand_verdict(mu, {(4, mu + 1): -1}) == \
         (False, -1, mu + 1)
     # r = 1: slot mu + 1 is the exponent mu + 1 + 1/16, outside the window
-    assert _positivity(*_layers(mu, {(1, mu + 1): -1}), 4, mu) == \
+    assert _hand_verdict(mu, {(1, mu + 1): -1}) == \
         (True, 5, 1)
     # a non-positive leading coefficient at slot i^2 // 16
-    assert not _positivity(*_layers(mu, {(4, 1): 0}), 4, mu)[0]
-    assert not _positivity(*_layers(mu, {(2, 0): -3}), 4, mu)[0]
+    assert not _hand_verdict(mu, {(4, 1): 0})[0]
+    assert not _hand_verdict(mu, {(2, 0): -3})[0]
     # the least coefficient's exponent on the coset 9/16 + Z
-    assert _positivity(*_layers(mu, {(3, 2): 2}), 4, mu) == \
+    assert _hand_verdict(mu, {(3, 2): 2}) == \
         (True, 2, Fraction(2 * 16 + 9, 16))
+    # a zero head slot fails and is the least coefficient
+    assert _hand_verdict(mu, {(0, 2): 0}) == (False, 0, 2)
+    # k = 8, mu = 0: f_8's leading slot 64 // 32 = 2 (exponent 2) lies past
+    # the window t^0..t^1, so a non-positive value there is not read
+    assert _hand_verdict(0, {(8, 2): -1}, k=8, T=3) == (True, 5, 1)
+    assert _hand_verdict(2, {(8, 2): -1}, k=8) == (False, -1, 2)
 
 
 # -- Eq. (3) value ----------------------------------------------------------
@@ -363,9 +397,10 @@ def test_theorem1_sweep_matches_per_n_ops():
     (1, {(1, 1): -100}, (False, True)),
 ])
 def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
-    """Every length's verdict equals a full _certify, with certificate
-    factors edited so it fails and recovers: edits adds a value at (layer,
-    slot), layer 0 being the head bracket and i the f-layer of f_i."""
+    """Every length's verdict equals a whole-window _verdict, with
+    certificate factors edited so it fails and recovers: edits adds a value
+    at (layer, slot), layer 0 being the head bracket and i the f-layer of
+    f_i."""
     real = extremal._certificate_factors
 
     def edited(k, T):
@@ -381,7 +416,7 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
     monkeypatch.setattr(extremal, "_certificate_factors", edited)
     ns = list(range(8, 481, 8))
     th1, cert = edited(k, 22)
-    full = [extremal._certify(power(th1, n // 8 - 1), cert, k, n // 24)[0]
-            for n in ns]
+    full = [extremal._verdict(power(th1, n // 8 - 1), cert, k, -1,
+                              n // 24)[0] for n in ns]
     assert flip in zip(full, full[1:])
     assert [r.positivity for r in extremal._theorem1_chunk(k, ns)] == full
