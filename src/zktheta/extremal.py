@@ -9,12 +9,12 @@ t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
     b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s   (s >= 1)
 
 and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
-b is one dot product of a running product against a factor fixed per run:
-the tail b's dot C_mu = theta1^(3mu) * B * h^(mu+1), walked down from the
-run's largest mu by (theta1^3 * h)^(-1) with the truncation falling by one
-per step, against Q_nu = theta1^(nu-1) * E4^(2-nu) and Q_nu * w; the full
-b-list steps R * w^(m*g) by a giant w^m and dots it against baby powers of
-w.  The putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
+b is one dot product by baby-step giant-step: a giant, stepped up by a
+fixed power of a step series, against a baby power of that step times a
+factor fixed per run.  The tail b's read C_mu * Q_nu and C_mu * Q_nu * w,
+with C_mu = theta1^(3mu) * B * h^(mu+1), Q_nu = theta1^(nu-1) * E4^(2-nu)
+and step theta1^3 * h; the full b-list reads R * w^s with step w.  The
+putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
 Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
 beta2 = beta*_{2(mu+2)} decide existence.  The positivity certificate
 reads each window slot as one dot product; the Theorem 1 sweep reads the
@@ -335,28 +335,35 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
 
 
 def _per_mu(bracket: FracSeries, th1: FracSeries, h: FracSeries,
-            ns_list: list):
-    """Yield (n, j, mu, nu, C_mu) along an ascending run, longest first.
+            ns_list: list, factors: dict):
+    """Yield (n, j, mu, giant, babies) along an ascending run.
 
-    C_mu = theta1^(3mu) * B * h^(mu+1) starts at the run's largest mu as one
-    power of step = theta1^3 * h and walks down by step^(-1), integral since
-    step(0) = 1; the inverse is built only if the run spans more than one mu.
-    Each step down cuts the truncation by one, keeping the inputs' margin
-    T - mu_max above mu.  theta1^(j-1) * B * E4^(2-nu) * h^(mu+1) =
+    Baby-step giant-step over mu with step = theta1^3 * h: with mu_lo the
+    run's least mu and mu = mu_lo + m*g + r, giant = C_(mu_lo + m*g) is
+    stepped up by step^m and babies[i] = step^r * F for the i-th factor F
+    of factors[nu], so [t^e] C_mu * F = [t^e] giant * babies[i] with C_mu =
+    theta1^(3mu) * B * h^(mu+1).  Over a span of S values of mu and f
+    factors in all that is about S/m giant and f*(m - 1) baby products; a
+    giant product costs about two baby ones, so m = isqrt(2*S // f), at
+    least 1 (timed on scans and sweeps of 34 to 189 mu).  A run within one
+    mu makes neither.  theta1^(j-1) * B * E4^(2-nu) * h^(mu+1) =
     C_mu * Q_nu with Q_nu from _q_factors.
     """
     step = mul(power(th1, 3), h)
-    mu = ns_list[-1] // 24
-    c = mul(mul(power(step, mu), bracket), h)
-    inv = None
-    for n in reversed(ns_list):
-        j, mu_n, nu = shape(n)
-        while mu > mu_n:
-            if inv is None:
-                inv = power(step, -1)
-            c = mul(c.truncate(c.T - 1), inv)
-            mu -= 1
-        yield n, j, mu, nu, c
+    mu_g = ns_list[0] // 24
+    span = ns_list[-1] // 24 - mu_g + 1
+    m = max(1, math.isqrt(2 * span // sum(map(len, factors.values()))))
+    babies = {nu: [list(itertools.accumulate([step] * (m - 1), mul,
+                                             initial=f)) for f in fs]
+              for nu, fs in factors.items()}
+    giant = mul(mul(power(step, mu_g), bracket), h)
+    stride = power(step, m)
+    for n in ns_list:
+        j, mu, nu = shape(n)
+        while mu >= mu_g + m:
+            giant = mul(giant, stride)
+            mu_g += m
+        yield n, j, mu, giant, [b[mu - mu_g] for b in babies[nu]]
 
 
 def _q_factors(th1: FracSeries, ns_list: list) -> dict:
@@ -372,9 +379,8 @@ def _q_factors(th1: FracSeries, ns_list: list) -> dict:
 def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
-    They are _b_at(C_mu, Q_nu) and _b_at(C_mu, Q_nu * w), w = E4^3 * h:
-    one product per mu on the downward walk of _per_mu, and two dot
-    products per length; the rows are put back in ascending order.
+    They are [t^(mu+1)] C_mu * Q_nu and [t^(mu+2)] C_mu * Q_nu * w, w =
+    E4^3 * h, each one _b_at of a giant of _per_mu against its baby.
     """
     if not ns_list:
         return []
@@ -383,9 +389,8 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     h = h_series(T)
     w = mul(power(eisenstein_e4(T), 3), h)
     qs = {nu: (q, mul(q, w)) for nu, q in _q_factors(th1, ns_list).items()}
-    rows = [(n, _b_at(c, qs[nu][0], j, mu + 1), _b_at(c, qs[nu][1], j, mu + 2))
-            for n, j, mu, nu, c in _per_mu(bracket, th1, h, ns_list)]
-    return rows[::-1]
+    return [(n, _b_at(g, q, j, mu + 1), _b_at(g, qw, j, mu + 2))
+            for n, j, mu, g, (q, qw) in _per_mu(bracket, th1, h, ns_list, qs)]
 
 
 def crossover_scan(k: int, n_from: int, n_to: int,
@@ -415,8 +420,8 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     certificate reads its whole window at the first length of each worker's
     run and after a failed length; while it holds, a longer length reads
     only the slots its window gains (_verdict).  beta1 is a dot product of
-    C_mu, walked down once per mu, against Q_nu.  Results are identical to
-    the per-n operations.
+    a giant of _per_mu, stepped up over mu, against a baby.  Results are
+    identical to the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -426,27 +431,26 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
 def _theorem1_chunk(k: int, ns_list: list) -> list:
     """Theorem1Row for an ascending run of lengths, all on the integer grid.
 
-    beta1 = -b_{2(mu+1)} = -_b_at(C_mu, Q_nu) is read off the downward C_mu
-    walk of _per_mu.  The certificate rides the upward walk of theta1^(j-1):
-    f0^(8j-1) = theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a
-    factor fixed per run.  Each length reads the window slots above the top
-    exponent certified so far, or all of them if the last length failed.
+    beta1 = -b_{2(mu+1)} = -[t^(mu+1)] C_mu * Q_nu is one _b_at of a giant
+    of _per_mu against its baby.  The certificate rides the upward walk of
+    theta1^(j-1): f0^(8j-1) = theta1^(j-1) * f0^7, so each layer is
+    theta1^(j-1) times a factor fixed per run.  Each length reads the
+    window slots above the top exponent certified so far, or all of them
+    if the last length failed.
     """
     if not ns_list:
         return []
     th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
-    qs = _q_factors(th1, ns_list)
-    beta1 = {n: -_b_at(c, qs[nu], j, mu + 1) for n, j, mu, nu, c
-             in _per_mu(cert[0], th1, h_series(th1.T), ns_list)}
+    qs = {nu: (q,) for nu, q in _q_factors(th1, ns_list).items()}
     j0 = ns_list[0] // 8
     th1pow = power(th1, j0 - 1)
     rows, held = [], -1  # held: top exponent certified so far, -1 for none
-    for n in ns_list:
-        j, mu, _ = shape(n)
+    for n, j, mu, g, (q,) in _per_mu(cert[0], th1, h_series(th1.T), ns_list,
+                                     qs):
         for _ in range(j - j0):
             th1pow = mul(th1pow, th1)
         j0 = j
         ok = _verdict(th1pow, cert, k, held, mu)[0]
         held = mu + 1 if ok else -1
-        rows.append(Theorem1Row(n, beta1[n], ok))
+        rows.append(Theorem1Row(n, -_b_at(g, q, j, mu + 1), ok))
     return rows

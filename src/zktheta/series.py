@@ -134,12 +134,6 @@ class FracSeries:
                 coeffs[e2] = c
         return FracSeries(D2, self.T, coeffs)
 
-    def truncate(self, T) -> "FracSeries":
-        T = Fraction(T)
-        if T >= self.T:
-            return self
-        return FracSeries(self.D, T, self.coeffs)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -284,6 +278,8 @@ def power(a: FracSeries, m: int) -> FracSeries:
     """
     if m == 0:
         return FracSeries.constant(1, a.T, a.D)
+    if m == 1:
+        return a
     terms = a.nonzero_terms()
     if m < 0 and (not terms or terms[0][0]):
         raise ZeroConstantTerm("negative power of a series with a(0) = 0")

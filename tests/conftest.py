@@ -231,6 +231,68 @@ def padded_certificate(n: int, k: int):
     return ok, min_c, min_e
 
 
+def _coset_vectors(residues, m: int, bound: int):
+    """Every integer vector v with v[c] = residues[c] mod m and |v|^2 <= bound.
+
+    Plain box enumeration, one coordinate at a time.
+    """
+    import math
+
+    if not residues:
+        yield ()
+        return
+    lim = math.isqrt(bound)
+    for x in range(-lim, lim + 1):
+        if (x - residues[0]) % m == 0:
+            for rest in _coset_vectors(residues[1:], m, bound - x * x):
+                yield (x,) + rest
+
+
+def lattice_certificate(n: int, k: int):
+    """(verdict, min_coeff, min_exponent) of the certificate from lattice
+    points alone, with no zktheta code.
+
+    The head layer t*theta1^(j-1)*(theta1*E4' - theta1'*E4) is
+    A*t*E4' - t*A'*E4/j with A = theta1^j, the theta series
+    sum t^(k|v|^2) of sqrt(2k)Z^n counted point by point, and E4 from
+    sigma_3.  The f-layer i, 4k*t*f0^(n-1)*(f0*f_i' - f0'*f_i), is the sum
+    of (x^2 - y^2)*t^(|p|^2/4k) over the points p = (x, y, z_1..z_(n-1))
+    with x = i and y, z = 0 mod 2k: each point of norm <= 4k(mu + 1), the
+    window, adds x^2 - y^2 to its norm's slot.  Conditions and the order
+    in which the least coefficient is found follow positivity_certificate.
+    """
+    from fractions import Fraction
+
+    j, mu = n // 8, n // 24
+    D = 4 * k
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+                for m in range(1, mu + 2)]
+    a = [0] * (mu + 2)
+    for v in _coset_vectors((0,) * n, 1, (mu + 1) // k):
+        a[k * sum(x * x for x in v)] += 1
+    ok, min_c, min_e = True, None, None
+    for e in range(1, mu + 2):
+        c, rem = divmod(sum(a[s] * e4[e - s] * (j * (e - s) - s)
+                            for s in range(e + 1)), j)
+        assert not rem
+        ok = ok and c > 0
+        if min_c is None or c < min_c:
+            min_c, min_e = c, Fraction(e)
+    for i in range(1, k + 1):
+        slots = {}
+        for p in _coset_vectors((i,) + (0,) * n, 2 * k, D * (mu + 1)):
+            norm = sum(x * x for x in p)
+            slots[norm] = slots.get(norm, 0) + p[0] ** 2 - p[1] ** 2
+        if i * i <= D * (mu + 1) and slots.get(i * i, 0) <= 0:
+            ok = False
+        for norm in sorted(slots):
+            c = slots[norm]
+            ok = ok and c >= 0
+            if c and c < min_c:
+                min_c, min_e = c, Fraction(norm, D)
+    return ok, min_c, min_e
+
+
 def naive_codewords(code):
     """Every sum c_i * row_i mod 2k, c in lexicographic order.
 

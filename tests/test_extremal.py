@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (binary_power, extremal_excess, matching_b_list,
-                      padded_certificate)
+from conftest import (binary_power, extremal_excess, lattice_certificate,
+                      matching_b_list, padded_certificate)
 from zktheta import extremal
 from zktheta.errors import GridViolation, InvalidLength, PrecisionTooSmall
 from zktheta.extremal import (
@@ -168,6 +168,20 @@ def test_positivity_k8_leading_slot_past_window():
                     1, -1))
                 terms = layer.nonzero_terms()
                 assert terms[0] == (i * i, (2 if i == k else 1) * i * i)
+
+
+def test_positivity_small_n_matches_lattice_points():
+    # k = 8, 9 at n <= 48, where f_k's leading slot can lie past the
+    # window, and k = 1..3, where the head and f-layers sum many points,
+    # against lattice_certificate; the sweep gives the same verdicts
+    for k, n_max in ((1, 24), (2, 24), (3, 24), (8, 48), (9, 48)):
+        sweep = theorem1_sweep(k, n_max)
+        for n in range(8, n_max + 1, 8):
+            rep = positivity_certificate(n, k)
+            want = lattice_certificate(n, k)
+            assert (rep.verdict, rep.min_coeff, rep.min_exponent) == want, \
+                (n, k)
+            assert sweep[n // 8 - 1].positivity == want[0]
 
 
 def test_f_bracket_off_coset_raises(monkeypatch):
@@ -336,6 +350,56 @@ def test_crossover_scan_matches_direct_profiles():
                 assert p.b == matching_b_list(n, k, 2)
                 assert (row.n, row.beta1, row.beta2) == (n, p.beta1, p.beta2)
                 assert (row.beta1, row.beta2) == excess[k]
+
+
+def _giant_ends(monkeypatch, run):
+    """run(), and the first (r = 0) and last (r = m - 1) mu read off each
+    giant of _per_mu; the run must step its giant at least twice, with at
+    least three mu per giant."""
+    real, giants = extremal._per_mu, []
+
+    def spy(*args):
+        for item in real(*args):
+            if not giants or giants[-1][0] is not item[3]:
+                giants.append((item[3], []))
+            giants[-1][1].append(item[2])
+            yield item
+
+    monkeypatch.setattr(extremal, "_per_mu", spy)
+    result = run()
+    monkeypatch.undo()
+    assert len(giants) >= 3 and len(set(giants[0][1])) >= 3
+    return result, {mus[i] for _, mus in giants for i in (0, -1)}
+
+
+def test_crossover_scan_giant_steps(monkeypatch):
+    # runs over 29 values of mu, starting in each nu class: every row
+    # against profile, which reads the full b-list by a separate baby-step
+    # giant-step over s, and the ends of every giant against the
+    # definition oracle
+    for n_from in (8, 104, 136):
+        excess = {}
+        for k in range(1, 7):
+            res, ends = _giant_ends(
+                monkeypatch, lambda: crossover_scan(k, n_from, n_from + 664))
+            assert [r.n for r in res.rows] == \
+                list(range(n_from, n_from + 665, 8))
+            for r in res.rows:
+                assert (r.beta1, r.beta2) == profile(r.n, k)[-2:], (k, r.n)
+                if r.n // 24 in ends:
+                    if r.n not in excess:
+                        excess[r.n] = extremal_excess(r.n, range(1, 7))
+                    assert (r.beta1, r.beta2) == excess[r.n][k], (k, r.n)
+
+
+def test_theorem1_sweep_giant_steps(monkeypatch):
+    # beta1 at the ends of every giant of the sweep against the definition
+    # oracle; test_theorem1_sweep_matches_per_n_ops checks every row
+    for k in range(1, 7):
+        rows, ends = _giant_ends(monkeypatch, lambda: theorem1_sweep(k, 480))
+        for row in rows:
+            if row.n // 24 in ends:
+                assert row.beta1 == extremal_excess(row.n, [k])[k][0], row.n
 
 
 def test_crossover_scan_worker_determinism():
