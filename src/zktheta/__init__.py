@@ -19,7 +19,7 @@ _EXPORTS = {
     "codes": ("LinearCode", "enumerate_codewords", "euclidean_weight", "rho",
               "search_c8", "swe", "theta_cosets", "theta_substitution",
               "verify_type2"),
-    "asymptotics": ("SaddleData", "asymptotic_b", "eval_F", "find_saddle",
+    "asymptotics": ("SaddleData", "eval_F", "find_saddle",
                     "predicted_ratio_limit", "ratio_report"),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -53,7 +53,7 @@ class LinearCode(namedtuple("LinearCode", "k n rows")):
         try:
             magic, k, n, r = lines[0]
             k, n, r = int(k), int(n), int(r)
-            rows = [tuple(int(x) for x in ln) for ln in lines[1:1 + r]]
+            rows = [tuple(int(x) for x in ln) for ln in lines[1:]]
         except (IndexError, ValueError):
             raise BadCodeFile("bad 'zcode k n r' header or entries") from None
         if k < 1:
@@ -148,16 +148,6 @@ class SweTable(namedtuple("SweTable", "k n counts")):
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "counts": [
-                {"composition": list(comp), "count": cnt}
-                for comp, cnt in sorted(self.counts.items())
-            ],
-        }
 
 
 def swe(code: LinearCode) -> SweTable:

@@ -83,16 +83,6 @@ class PositivityReport(namedtuple(
 
     __slots__ = ()
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "max_exponent": self.max_exponent,
-            "min_coeff": str(self.min_coeff),
-            "min_exponent": str(self.min_exponent),
-            "verdict": self.verdict,
-        }
-
 
 # ---------------------------------------------------------------------------
 # public operations

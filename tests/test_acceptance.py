@@ -155,11 +155,13 @@ def test_criterion_6_construction_a():
 
 def test_criterion_7_saddle_data(tmp_path):
     sd = find_saddle(30)
-    h = mp.mpf("1e-12")
-    deriv = (eval_F(sd.y0 + h, 40) - eval_F(sd.y0 - h, 40)) / (2 * h)
-    stationary = abs(deriv) < mp.mpf("1e-12") * sd.c1
     basic = sd.c2 > 0 and 0 < sd.y0 < 1
+    # eval_F rounds to the caller's precision, so the difference is taken
+    # at 45 digits; at the default 15 it would be 0 near y0
     with mp.workdps(45):
+        h = mp.mpf("1e-12")
+        deriv = (eval_F(sd.y0 + h, 40) - eval_F(sd.y0 - h, 40)) / (2 * h)
+        stationary = abs(deriv) < mp.mpf("1e-12") * sd.c1
         y = mp.mpf("1.3")
         feq = abs(eval_F(1 / y, 40) / (y ** -12 * eval_F(y, 40)) - 1) < mp.mpf("1e-9")
     limit = predicted_ratio_limit(sd)

@@ -132,6 +132,10 @@ def test_code_verify_missing_file(capsys):
     assert "error" in err
 
 
+_C8 = (b"zcode 1 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n"
+       b"0 0 1 0 1 1 0 1\n0 0 0 1 1 1 1 0\n")
+
+
 @pytest.mark.parametrize("data,error", [
     (b"", "BadCodeFile"),
     (b"\n  \n", "BadCodeFile"),
@@ -147,6 +151,9 @@ def test_code_verify_missing_file(capsys):
     (b"zcode 1 8 1\n1 0 0 1\n", "BadCodeFile"),
     (b"\xff\xfe\x00zcode", "BadCodeFile"),  # not UTF-8
     (b"zcode 1 0 0\n", "BadCodeFile"),
+    # a valid Type II [8, 4] code followed by rows past the header's rank
+    (_C8 + b"1 0 0 0 0 1 1 1\n", "BadCodeFile"),
+    (_C8 + b"junk x y\n", "BadCodeFile"),
 ])
 def test_code_verify_malformed_file(data, error, tmp_path, capsys):
     path = tmp_path / "bad.zcode"
