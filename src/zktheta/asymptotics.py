@@ -15,7 +15,6 @@ the extremal module and the two are compared, never conflated.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -107,10 +106,7 @@ def eval_series(series: FracSeries, t: mp.mpf) -> mp.mpf:
     for c in reversed(series.coeffs):
         acc = acc * base
         if c:
-            if isinstance(c, Fraction):
-                acc += mp.mpf(c.numerator) / c.denominator
-            else:
-                acc += c
+            acc += c
     return acc
 
 

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default="text")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for sweeps (results identical)")
+                   help="worker processes for sweeps, at most the CPU "
+                   "count at once (results identical)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("e4", help="E4 q-expansion coefficients")

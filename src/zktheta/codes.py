@@ -16,7 +16,8 @@ from collections import Counter, namedtuple
 from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
                      TooLarge)
 
-ENUM_GUARD = 10 ** 7
+# entries built by enumeration, (2k)^r words of length n; 10^7 words at n = 8
+ENUM_GUARD = 8 * 10 ** 7
 
 
 class LinearCode(namedtuple("LinearCode", "k n rows")):
@@ -92,8 +93,9 @@ def enumerate_codewords(code: LinearCode):
     i - 1, so each prefix word is built once and no word list is kept.
     """
     m = code.modulus
-    if m ** code.rank > ENUM_GUARD:
-        raise TooLarge(f"{m}^{code.rank} codewords exceed the guard")
+    if m ** code.rank * code.n > ENUM_GUARD:
+        raise TooLarge(f"{m}^{code.rank} codewords of length {code.n} "
+                       "exceed the guard")
     words = [(0,) * code.n]
     for row in code.rows:
         words = _add_multiples(words, row, m)

@@ -311,15 +311,17 @@ class ScanResult(namedtuple("ScanResult", "k rows first_negative")):
 def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
     """chunk(k, run) over ascending runs of ns_list, concatenated in order.
 
-    Each of up to `workers` processes takes one contiguous run; ex.map
+    Up to `workers` contiguous runs, at most the CPU count at once; ex.map
     returns the parts in submission order, so the rows come out sorted by n.
     """
     if workers <= 1 or len(ns_list) < 2 * workers:
         return chunk(k, ns_list)
     import concurrent.futures
+    import os
     size = (len(ns_list) + workers - 1) // workers
     runs = [ns_list[i:i + size] for i in range(0, len(ns_list), size)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+    pool = min(len(runs), os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=pool) as ex:
         parts = list(ex.map(chunk, [k] * len(runs), runs))
     return [r for part in parts for r in part]
 

@@ -2,10 +2,10 @@
 
 A :class:`FracSeries` stores coefficients of t^(e/D) for integer e >= 0 on a
 dense grid, with everything below an explicit truncation T kept exactly.
-Coefficients are Python ints whenever possible and ``fractions.Fraction``
-otherwise; no floating point enters anywhere.  Products walk nonzero pairs
-only, so stored zeros cost no arithmetic.  Powers of any integer exponent
-come from Miller's recurrence; ``power(a, -1)`` is the inverse.
+Coefficients are exact Python ints and no floating point enters anywhere;
+a result that is not integral (see ``power``, ``differentiate``) raises
+ArithmeticError.  Products walk nonzero pairs only, so stored zeros cost no
+arithmetic.  Miller's recurrence gives every integer power.
 
 The variable t is q^2 throughout the package.
 """
@@ -21,13 +21,6 @@ from .errors import (
     OutOfTruncation,
     ZeroConstantTerm,
 )
-
-
-def _norm(c):
-    """Collapse integral Fractions back to int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def _slots(D: int, T: Fraction) -> int:
@@ -58,9 +51,7 @@ class FracSeries:
             coeffs = coeffs[:ns]
         self.D = D
         self.T = T
-        # the type scan runs in C; only a list holding a Fraction is _norm'ed
-        self.coeffs = ([_norm(c) for c in coeffs]
-                       if Fraction in map(type, coeffs) else list(coeffs))
+        self.coeffs = list(coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -184,34 +175,6 @@ class FracSeries:
         body = " + ".join(shown) if shown else "0"
         return f"FracSeries(D={self.D}, T={self.T}: {body})"
 
-    # -- serialization (golden-file format) --------------------------------
-
-    def dumps(self) -> str:
-        lines = [f"fracseries {self.D} {self.T}"]
-        for e, c in self.nonzero_terms():
-            if isinstance(c, Fraction):
-                lines.append(f"{e}/{self.D}\t{c.numerator}/{c.denominator}")
-            else:
-                lines.append(f"{e}/{self.D}\t{c}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "FracSeries":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "fracseries":
-            raise ValueError("not a fracseries dump")
-        D = int(head[1])
-        T = Fraction(head[2])
-        terms = {}
-        for ln in lines[1:]:
-            expo, val = ln.split("\t")
-            num, den = expo.split("/")
-            if int(den) != D:
-                raise ValueError(f"exponent denominator {den} != grid {D}")
-            terms[int(num)] = _norm(Fraction(val))
-        return cls.from_terms(D, T, terms)
-
 
 def _coerce(x, like: FracSeries) -> FracSeries:
     if isinstance(x, FracSeries):
@@ -272,9 +235,9 @@ def power(a: FracSeries, m: int) -> FracSeries:
     """a**m for any integer m by J. C. P. Miller's recurrence.
 
     With a = c * t^(v/D) * (1 + ...), p = a^m / t^(mv/D) satisfies
-    c*s*p_s = sum_{i=1..s} ((m+1)*i - s) * a_{v+i} * p_{s-i}.  Integer a
-    stays integer when m >= 0 or c = +-1, every division exact (else
-    ArithmeticError); otherwise the coefficients are Fractions.
+    c*s*p_s = sum_{i=1..s} ((m+1)*i - s) * a_{v+i} * p_{s-i}.  Every division
+    is exact when m >= 0 or c = +-1; a negative power with c != +-1 is not
+    integral and raises ArithmeticError.  power(a, -1) is the inverse.
     """
     if m == 0:
         return FracSeries.constant(1, a.T, a.D)
@@ -286,16 +249,17 @@ def power(a: FracSeries, m: int) -> FracSeries:
     if not terms:
         return a
     v, c = terms[0]
-    exact = Fraction not in map(type, a.coeffs) and (m > 0 or c in (1, -1))
+    if m < 0 and c not in (1, -1):
+        raise ArithmeticError(f"a^{m} with a(0) = {c} is not integral")
     rel = [(e - v, ce) for e, ce in terms[1:]]
-    p = [_norm(Fraction(c) ** m)]
+    p = [c ** abs(m)]
     for s in range(1, _slots(a.D, a.T) - m * v):
         acc = 0
         for i, ai in rel:
             if i > s:
                 break
             acc += ((m + 1) * i - s) * ai * p[s - i]
-        q, rem = divmod(acc, c * s) if exact else (Fraction(acc, c * s), 0)
+        q, rem = divmod(acc, c * s)
         if rem:
             raise ArithmeticError(f"inexact division at slot {s} of a^{m}")
         p.append(q)
@@ -308,7 +272,8 @@ def differentiate(a: FracSeries) -> FracSeries:
 
     A nonzero term with 0 < e/D < 1 has no home on the nonnegative grid;
     that raises NegativeExponent rather than silently dropping weight.
-    (The constant term differentiates to zero and is fine.)
+    (The constant term differentiates to zero and is fine.)  A non-integer
+    c*e/D raises ArithmeticError, which never happens on D = 1.
     """
     D = a.D
     T2 = a.T - 1
@@ -325,7 +290,10 @@ def differentiate(a: FracSeries) -> FracSeries:
             )
         e2 = e - D
         if e2 < ns:
-            out[e2] = _norm(c * Fraction(e, D))
+            q, rem = divmod(c * e, D)
+            if rem:
+                raise ArithmeticError(f"c*e/D = {c}*{e}/{D} is not integral")
+            out[e2] = q
     return FracSeries(D, T2, out)
 
 

@@ -154,6 +154,8 @@ _C8 = (b"zcode 1 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n"
     # a valid Type II [8, 4] code followed by rows past the header's rank
     (_C8 + b"1 0 0 0 0 1 1 1\n", "BadCodeFile"),
     (_C8 + b"junk x y\n", "BadCodeFile"),
+    # 19 bytes asking for one zero word of 80000001 entries
+    (b"zcode 1 80000001 0\n", "TooLarge"),
 ])
 def test_code_verify_malformed_file(data, error, tmp_path, capsys):
     path = tmp_path / "bad.zcode"

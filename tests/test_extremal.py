@@ -409,6 +409,34 @@ def test_crossover_scan_worker_determinism():
         [(r.n, r.beta1, r.beta2) for r in par.rows]
 
 
+def test_worker_pool_capped_at_cpu_count(monkeypatch):
+    """--workers above the CPU count keeps its runs but not its processes."""
+    import concurrent.futures
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    cpus = os.cpu_count() or 1
+    workers = cpus + 2
+    # 2 * workers lengths: `workers` runs of two, more runs than CPUs
+    par = crossover_scan(1, 8, 16 * workers, workers=workers)
+    assert sizes == [cpus]
+    assert par.rows == crossover_scan(1, 8, 16 * workers, workers=1).rows
+
+
 def test_crossover_k1_first_negative_beta2():
     # checks only 10120..10192: beta2 is positive up to 10144, negative at
     # 10152 and positive again at 10160, so the sign oscillates at onset.
