@@ -19,8 +19,6 @@ from collections import namedtuple
 import mpmath as mp
 
 from .errors import DomainError
-from .extremal import _tail_chunk, shape
-from .series import FracSeries
 
 
 class SaddleData(namedtuple("SaddleData", "y0 t0 c1 c2 digits h_terms")):
@@ -99,7 +97,7 @@ def find_saddle(digits: int = 30) -> SaddleData:
 # series evaluation helpers (exact series -> mpf at a point)
 # ---------------------------------------------------------------------------
 
-def eval_series(series: FracSeries, t: mp.mpf) -> mp.mpf:
+def eval_series(series, t: mp.mpf) -> mp.mpf:
     """Evaluate a FracSeries at a numeric point (Horner on the e-grid)."""
     base = t ** (mp.mpf(1) / series.D) if series.D > 1 else t
     acc = mp.mpf(0)
@@ -165,8 +163,10 @@ class RatioRow(namedtuple("RatioRow", "n ratio threshold margin")):
 def ratio_report(k: int, ns) -> list:
     """Exact |b_{2(mu+2)}/b_{2(mu+1)}| against the sign-change threshold.
 
-    Every length is checked before any is computed.
+    Every length is checked before any is computed.  The exact layers are
+    imported here, so `asymptotics` alone does not load them.
     """
+    from .extremal import _tail_chunk, shape
     rows = []
     for n, (_, mu, nu) in [(n, shape(n)) for n in ns]:
         _, b1, b2 = _tail_chunk(k, [n])[0]

@@ -4,13 +4,16 @@ enumerators, Construction A theta series, and length-8 Type II codes.
 A code is spanned by r generator rows; enumeration runs over all (2k)^r
 coefficient vectors, so each codeword comes once per element of the kernel
 of c -> sum c_i * row_i (once if the code is free).  swe and theta_cosets
-divide that back out.  Only the theta functions import the series layers.
+divide that back out.  The words are built in byte buffers, one integer sum
+per row multiple (_blocks), and verify_type2 counts weights straight from
+those buffers.  Only the theta functions import the series layers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter, namedtuple
 
 from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
@@ -18,6 +21,11 @@ from .errors import (BadCodeFile, InvalidModulus, RangeError, SearchExhausted,
 
 # entries built by enumeration, (2k)^r words of length n; 10^7 words at n = 8
 ENUM_GUARD = 8 * 10 ** 7
+# longest code enumerated, whatever its rank: a rank-0 file of a few bytes
+# would otherwise ask for one zero word of up to ENUM_GUARD entries
+MAX_LENGTH = 10 ** 5
+# bytes of words built at once; longer enumerations stream block by block
+_BLOCK = 1 << 20
 
 
 class LinearCode(namedtuple("LinearCode", "k n rows")):
@@ -77,29 +85,62 @@ def euclidean_weight(k: int, word) -> int:
     return sum(rho(k, x) ** 2 for x in word)
 
 
-def _add_multiples(words, row, m: int):
-    """w + c*row mod m for each w of words and, within it, c = 0..m-1."""
-    mults = [[c * x for x in row] for c in range(m)]
-    for w in words:
-        for cr in mults:
-            yield tuple([(a + b) % m for a, b in zip(w, cr)])
+def _plus(buf: bytes, word: list, m: int, w: int) -> bytes:
+    """Every word of buf plus word, mod m, as one integer sum.
+
+    Fields are w bytes in native order and stay below 2m <= 2^(8w-1), so no
+    carry crosses a field; adding 2^(8w-1) - m sets a field's top bit
+    exactly where it is >= m, and m is taken off there.
+    """
+    order, top = sys.byteorder, 8 * w - 1
+    tile = b"".join(x.to_bytes(w, order) for x in word)
+    ones = int.from_bytes((1).to_bytes(w, order) * (len(buf) // w), order)
+    s = (int.from_bytes(buf, order)
+         + int.from_bytes(tile * (len(buf) // len(tile)), order))
+    s -= ((s + ones * ((1 << top) - m)) >> top & ones) * m
+    return s.to_bytes(len(buf), order)
+
+
+def _blocks(code: LinearCode):
+    """The words of enumerate_codewords, in order, as memoryviews of n
+    fields each: bytes for m <= 128, else 4-byte ints.
+
+    Rows are added last to first, each stage repeating the buffer once per
+    multiple c * row with c outermost, which keeps the words in
+    lexicographic order.  The stages stop short of _BLOCK bytes; the rows
+    left over are walked by their coefficients, one block each, so peak
+    memory does not grow with m^r.
+    """
+    m, n, rows = code.modulus, code.n, code.rows
+    if n > MAX_LENGTH or m ** code.rank * n > ENUM_GUARD:
+        raise TooLarge(f"{m}^{code.rank} codewords of length {n} "
+                       "exceed the guard")
+    w = 1 if m <= 128 else 4
+    split = len(rows)
+    while split and m ** (len(rows) - split + 1) * n * w <= _BLOCK:
+        split -= 1
+    buf = bytes(n * w)
+    for row in reversed(rows[split:]):
+        buf = b"".join(_plus(buf, [c * x % m for x in row], m, w)
+                       for c in range(m))
+    fmt = "B" if w == 1 else "I"
+    for cs in itertools.product(range(m), repeat=split):
+        word = [sum(c * x for c, x in zip(cs, col)) % m
+                for col in zip(*rows[:split])]
+        yield memoryview(_plus(buf, word, m, w) if split else buf).cast(fmt)
 
 
 def enumerate_codewords(code: LinearCode):
     """Yield sum c_i * row_i mod 2k for every c in Z_2k^r, lexicographically.
 
     Each codeword comes once per kernel element (once if the code is free).
-    Prefix sums: stage i adds every multiple of row i to each word of stage
-    i - 1, so each prefix word is built once and no word list is kept.
+    Codes longer than MAX_LENGTH or with more than ENUM_GUARD entries raise
+    TooLarge.
     """
-    m = code.modulus
-    if m ** code.rank * code.n > ENUM_GUARD:
-        raise TooLarge(f"{m}^{code.rank} codewords of length {code.n} "
-                       "exceed the guard")
-    words = [(0,) * code.n]
-    for row in code.rows:
-        words = _add_multiples(words, row, m)
-    yield from words
+    n = code.n
+    for fields in _blocks(code):
+        for i in range(0, len(fields), n):
+            yield tuple(fields[i:i + n])
 
 
 class Type2Report(namedtuple("Type2Report",
@@ -122,6 +163,33 @@ class Type2Report(namedtuple("Type2Report",
         }
 
 
+def _weights(code: LinearCode) -> Counter:
+    """Counter of the Euclidean weights of the enumerated words.
+
+    For k <= 15, rho^2 fits a byte: each block is translated to rho^2 and
+    its n columns are summed as integers of 2-byte fields, or of 4-byte
+    ones when the largest weight n*k^2 reaches 2^16.  Larger k sums each
+    word.
+    """
+    k, m, n = code.k, code.modulus, code.n
+    if k > 15:
+        return Counter(euclidean_weight(k, word)
+                       for word in enumerate_codewords(code))
+    sq = bytes(rho(k, x) ** 2 if x < m else 0 for x in range(256))
+    w = 2 if n * k * k < 1 << 16 else 4
+    order, low = sys.byteorder, 0 if sys.byteorder == "little" else w - 1
+    weights = Counter()
+    for fields in _blocks(code):
+        buf = fields.obj.translate(sq)
+        wide, total = bytearray(len(buf) // n * w), 0
+        for j in range(n):
+            wide[low::w] = buf[j::n]
+            total += int.from_bytes(wide, order)
+        weights.update(memoryview(total.to_bytes(len(wide), order)).cast(
+            "H" if w == 2 else "I"))
+    return weights
+
+
 def verify_type2(code: LinearCode) -> Type2Report:
     """Full check by enumeration: self-duality, 4k-divisibility, d_E."""
     k, m = code.k, code.modulus
@@ -129,9 +197,7 @@ def verify_type2(code: LinearCode) -> Type2Report:
         sum(a * b for a, b in zip(r1, r2)) % m == 0
         for r1 in code.rows for r2 in code.rows
     )
-    sq = [rho(k, x) ** 2 for x in range(m)]
-    weights = Counter(sum(map(sq.__getitem__, w))
-                      for w in enumerate_codewords(code))
+    weights = _weights(code)
     # free iff only c = 0 gives the zero word, the one word of weight 0
     free_ok = weights[0] == 1
     # free + self-orthogonal + cardinality (2k)^(n/2) forces C = C-dual

@@ -9,11 +9,13 @@ t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
     b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s   (s >= 1)
 
 and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
-b is one dot product by baby-step giant-step: a giant, stepped up by a
-fixed power of a step series, against a baby power of that step times a
-factor fixed per run.  The tail b's read C_mu * Q_nu and C_mu * Q_nu * w,
-with C_mu = theta1^(3mu) * B * h^(mu+1), Q_nu = theta1^(nu-1) * E4^(2-nu)
-and step theta1^3 * h; the full b-list reads R * w^s with step w.  The
+b is one dot product.  Along a run of lengths it is taken by baby-step
+giant-step: a giant, stepped up by a fixed power of a step series, against
+a baby power of that step times a factor fixed per run.  The tail b's read
+C_mu * Q_nu and C_mu * Q_nu * w, with C_mu = theta1^(3mu) * B * h^(mu+1),
+Q_nu = theta1^(nu-1) * E4^(2-nu) and step theta1^3 * h; the full b-list
+reads R * w^s with step w.  A single length takes theta1^(j-1) and h^s as
+powers of the lacunary f0 and Euler's P instead (_tail_chunk).  The
 putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
 Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
 beta2 = beta*_{2(mu+2)} decide existence.  The positivity certificate
@@ -188,13 +190,16 @@ def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
 # positivity certificate (Theorem 1.1 machinery)
 # ---------------------------------------------------------------------------
 
+def _bracket(a: FracSeries, b: FracSeries) -> FracSeries:
+    """D*t*(a*b' - a'*b) = a * euler_scaled(b) - euler_scaled(a) * b."""
+    return linear_combine(mul(a, euler_scaled(b)), mul(euler_scaled(a), b),
+                          1, -1)
+
+
 def _theta_bracket(k: int, T):
     """t * (theta1 * E4' - theta1' * E4) on the integer grid (exact ints)."""
-    e4 = eisenstein_e4(T)
     th1 = theta1(k, T)
-    return linear_combine(
-        mul(th1, euler_scaled(e4)), mul(euler_scaled(th1), e4), 1, -1
-    ), th1
+    return _bracket(th1, eisenstein_e4(T)), th1
 
 
 def _f_bracket(k: int, i: int, T):
@@ -206,10 +211,7 @@ def _f_bracket(k: int, i: int, T):
     nonzero coefficient off the coset raises GridViolation.
     """
     D = 4 * k
-    f0 = theta_f(k, 0, T)
-    fi = theta_f(k, i, T)
-    brk = linear_combine(mul(f0, euler_scaled(fi)),
-                         mul(euler_scaled(f0), fi), 1, -1)
+    brk = _bracket(theta_f(k, 0, T), theta_f(k, i, T))
     r = i * i % D
     if any(any(brk.coeffs[s::D]) for s in range(D) if s != r):
         raise GridViolation(f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
@@ -371,15 +373,30 @@ def _q_factors(th1: FracSeries, ns_list: list) -> dict:
 def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
-    They are [t^(mu+1)] C_mu * Q_nu and [t^(mu+2)] C_mu * Q_nu * w, w =
-    E4^3 * h, each one _b_at of a giant of _per_mu against its baby.
+    They are [t^s] X * Z * h^s at s = mu+1, mu+2, with X = theta1^(j-1),
+    Z1 = B * E4^(2-nu) and Z2 = Z1 * E4^3.  The route is chosen by the run
+    length.  A run of one length takes X = f0^(8(j-1)) and h^s = P^(-24s)
+    from Miller's recurrence over the lacunary f0 and P, and leaves only the
+    two X * Z products and the two dots dense.  A run of two or more walks
+    _per_mu, whose baby-step giant-step shares its step products across the
+    lengths: there the b's are [t^(mu+1)] C_mu * Q_nu and [t^(mu+2)] C_mu *
+    Q_nu * w, w = E4^3 * h, each one _b_at of a giant against its baby.
     """
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 3
     bracket, th1 = _theta_bracket(k, T)
+    e4 = eisenstein_e4(T)
+    if len(ns_list) == 1:
+        n = ns_list[0]
+        j, mu, nu = shape(n)
+        x = power(theta_f(k, 0, T).regrid(1), 8 * (j - 1))
+        z1 = mul(bracket, power(e4, 2 - nu))
+        z2 = mul(z1, power(e4, 3))
+        return [(n, _b_at(mul(x, z1), h_series(T, mu + 1), j, mu + 1),
+                 _b_at(mul(x, z2), h_series(T, mu + 2), j, mu + 2))]
     h = h_series(T)
-    w = mul(power(eisenstein_e4(T), 3), h)
+    w = mul(power(e4, 3), h)
     qs = {nu: (q, mul(q, w)) for nu, q in _q_factors(th1, ns_list).items()}
     return [(n, _b_at(g, q, j, mu + 1), _b_at(g, qw, j, mu + 2))
             for n, j, mu, g, (q, qw) in _per_mu(bracket, th1, h, ns_list, qs)]

@@ -58,9 +58,11 @@ def delta24(T) -> FracSeries:
     return FracSeries(1, T, [0] + power(_euler(T), 24).coeffs)
 
 
-def h_series(T) -> FracSeries:
-    """h = prod_{r>=1} (1 - t^r)^(-24) = t/Delta; all coefficients positive."""
-    return power(_euler(T), -24)
+def h_series(T, s: int = 1) -> FracSeries:
+    """h^s, h = prod_{r>=1} (1 - t^r)^(-24) = t/Delta, as P^(-24s) by
+    Miller's recurrence over the lacunary P; for s >= 0 all coefficients
+    are positive."""
+    return power(_euler(T), -24 * s)
 
 
 def theta_f(k: int, i: int, T) -> FracSeries:

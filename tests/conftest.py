@@ -296,8 +296,8 @@ def lattice_certificate(n: int, k: int):
 def naive_codewords(code):
     """Every sum c_i * row_i mod 2k, c in lexicographic order.
 
-    Oracle for codes.enumerate_codewords, which steps prefix sums; here
-    each word is rebuilt from all r rows.
+    Oracle for codes.enumerate_codewords, which adds each row multiple to
+    a whole byte buffer at once; here each word is rebuilt from all r rows.
     """
     m, n = code.modulus, code.n
     for coeffs in itertools.product(range(m), repeat=code.rank):

@@ -156,6 +156,8 @@ _C8 = (b"zcode 1 8 4\n1 0 0 0 0 1 1 1\n0 1 0 0 1 0 1 1\n"
     (_C8 + b"junk x y\n", "BadCodeFile"),
     # 19 bytes asking for one zero word of 80000001 entries
     (b"zcode 1 80000001 0\n", "TooLarge"),
+    # exactly at the entry guard, but longer than any code enumerated
+    (b"zcode 1 80000000 0\n", "TooLarge"),
 ])
 def test_code_verify_malformed_file(data, error, tmp_path, capsys):
     path = tmp_path / "bad.zcode"
@@ -281,6 +283,26 @@ def test_subcommands_import_only_their_layers():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == repr(([], True))
+
+
+SADDLE_FOOTPRINT = """
+import io, sys
+from zktheta import cli
+sys.stdout = io.StringIO()
+assert cli.run(["asymptotics", "--digits", "15"]) == 0
+sys.__stdout__.write(repr(sorted(m for m in sys.modules
+                                 if m.startswith("zktheta."))))
+"""
+
+
+def test_asymptotics_loads_no_exact_layer():
+    # the saddle data are closed forms; only `ratio` needs the exact layers
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", SADDLE_FOOTPRINT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(["zktheta.asymptotics", "zktheta.cli",
+                                "zktheta.errors"])
 
 
 def test_lazy_exports_are_the_submodule_objects():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_codewords, naive_verify_type2
+from zktheta import codes
 from zktheta.codes import (
     LinearCode,
     enumerate_codewords,
@@ -163,14 +164,27 @@ def test_gram_is_identity_times_minus_one():
         assert sum(a * b for a, b in zip(r1, r2)) % m == 0
 
 
+# entries (2k)^r * n of a drawn code; the naive oracles rebuild every word
+SMALL_ENTRIES = 4000
+
+
 @st.composite
 def small_codes(draw):
-    """Codes with k <= 3, length <= 6 and rank 0..3: mostly not free and not
-    self-orthogonal, since the rows are drawn at random."""
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 6))
+    """Codes with k <= 9, length <= 9 and rank 0..3, at most SMALL_ENTRIES
+    entries: mostly not free and not self-orthogonal, since the rows are
+    drawn at random."""
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 9))
+    rank = max(r for r in range(4) if (2 * k) ** r * n <= SMALL_ENTRIES)
     row = st.tuples(*[st.integers(0, 2 * k - 1)] * n)
-    return LinearCode(k=k, n=n, rows=tuple(draw(st.lists(row, max_size=3))))
+    return LinearCode(k=k, n=n,
+                      rows=tuple(draw(st.lists(row, max_size=rank))))
+
+
+def _rank1(k, n):
+    """The rank-1 code spanned by (k, ..., k, 1): its word c = 1 has weight
+    (n - 1) * k^2 + 1, with every rho^2 but one at its largest, k^2."""
+    return LinearCode(k=k, n=n, rows=((k,) * (n - 1) + (1,),))
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,6 +193,16 @@ def small_codes(draw):
 @example(LinearCode(k=1, n=4, rows=((1, 1, 1, 1),)))  # weights 0 and 4
 @example(LinearCode(k=2, n=4, rows=((2, 2, 0, 0), (1, 3, 1, 3))))  # not free
 @example(LinearCode(k=3, n=3, rows=()))  # rank 0: the zero word alone
+# rho^2 in a byte up to k = 15, residues in a byte up to k = 64 (2k <= 128)
+@example(_rank1(15, 3))
+@example(_rank1(16, 3))
+@example(_rank1(64, 3))
+@example(_rank1(65, 3))
+@example(LinearCode(k=65, n=2, rows=((129, 64), (1, 2))))
+# the largest weight n * k^2 against 2-byte weight fields: 65475 < 2^16
+# at n = 291, 65700 at n = 292
+@example(LinearCode(k=15, n=291, rows=((15,) * 291,)))
+@example(LinearCode(k=15, n=292, rows=((15,) * 292,)))
 def test_codes_kernel_matches_naive(code):
     assert list(enumerate_codewords(code)) == list(naive_codewords(code))
     assert verify_type2(code) == naive_verify_type2(code)
@@ -188,6 +212,59 @@ def test_codes_kernel_matches_naive(code):
                           for c in range(code.k + 1))
                     for w in set(naive_codewords(code)))
     assert swe(code).counts == comps
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_enumeration_is_lexicographic(k):
+    # [I4 | A]: the first four entries of a word are its coefficients
+    words = list(enumerate_codewords(search_c8(k)))
+    assert [w[:4] for w in words] == \
+        list(itertools.product(range(2 * k), repeat=4))
+
+
+@pytest.mark.parametrize("code,block", [
+    (search_c8(3), 64),
+    (LinearCode(k=2, n=5, rows=((2, 2, 0, 0, 1), (1, 3, 1, 3, 0),
+                                (0, 0, 2, 1, 1))), 64),
+    (LinearCode(k=20, n=3, rows=((1, 39, 20), (3, 0, 7))), 64),
+    (LinearCode(k=70, n=2, rows=((1, 139), (70, 3))), 1200),  # 4-byte fields
+])
+def test_enumeration_streams_in_blocks(monkeypatch, code, block):
+    # with a small block, the rows past the first stages are walked by their
+    # coefficients, one block each, and nothing else changes
+    whole = list(enumerate_codewords(code)), verify_type2(code), swe(code)
+    monkeypatch.setattr(codes, "_BLOCK", block)
+    sizes = [b.nbytes for b in codes._blocks(code)]
+    assert len(sizes) > 1 and max(sizes) <= block
+    assert (list(enumerate_codewords(code)), verify_type2(code),
+            swe(code)) == whole
+    assert whole[0] == list(naive_codewords(code))
+
+
+def test_enumeration_caps_the_length():
+    # rank 0 has one word whatever n is, so the length is capped on its own
+    assert list(enumerate_codewords(
+        LinearCode(k=1, n=codes.MAX_LENGTH, rows=()))) == \
+        [(0,) * codes.MAX_LENGTH]
+    with pytest.raises(TooLarge):
+        next(enumerate_codewords(
+            LinearCode(k=1, n=codes.MAX_LENGTH + 1, rows=())))
+    with pytest.raises(TooLarge):
+        verify_type2(LinearCode(k=1, n=codes.MAX_LENGTH + 1, rows=()))
+
+
+def test_verify_builds_no_table_of_the_modulus():
+    # a 19-byte file "zcode 1000000 8 0" has one word, the zero word; a
+    # table of rho^2 over all 2k residues would take tens of MiB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rep = verify_type2(LinearCode(k=10 ** 6, n=8, rows=()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == (False, True, 0)
+    assert peak < 1 << 20
 
 
 def test_non_free_code_counts_each_word_once():

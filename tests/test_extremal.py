@@ -402,6 +402,34 @@ def test_theorem1_sweep_giant_steps(monkeypatch):
                 assert row.beta1 == extremal_excess(row.n, [k])[k][0], row.n
 
 
+def _one_length(monkeypatch, k, n):
+    """_tail_chunk(k, [n]), which must not walk _per_mu."""
+    def walk(*args):
+        raise AssertionError("a one-length run walked _per_mu")
+
+    monkeypatch.setattr(extremal, "_per_mu", walk)
+    try:
+        return extremal._tail_chunk(k, [n])
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_one_length_tail_matches_baby_step_giant_step(monkeypatch, k):
+    # a one-length run takes the lacunary powers; the two-length runs that
+    # contain n walk _per_mu.  Every nu class, at small mu and at mu = 100
+    for pair in ((8, 16), (16, 24), (24, 32), (2400, 2408), (2408, 2416)):
+        walked = extremal._tail_chunk(k, list(pair))
+        for n, row in zip(pair, walked):
+            assert _one_length(monkeypatch, k, n) == [row], (k, n)
+
+
+def test_one_length_tail_matches_baby_step_giant_step_large(monkeypatch):
+    # mu = 500, where the giant of a two-length run is a big dense power
+    walked = extremal._tail_chunk(6, [12000, 12008])[0]
+    assert _one_length(monkeypatch, 6, 12000) == [walked]
+
+
 def test_crossover_scan_worker_determinism():
     seq = crossover_scan(1, 8, 248, workers=1)
     par = crossover_scan(1, 8, 248, workers=4)
