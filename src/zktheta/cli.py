@@ -111,17 +111,17 @@ def _cmd_crossover(args) -> str:
 def _cmd_theorem1(args) -> str:
     from . import extremal
     rows = extremal.theorem1_sweep(args.k, args.nmax, workers=args.workers)
-    ok = all(r.beta1 > 0 and r.positivity for r in rows)
+    ok = all(r.beta1_positive and r.positivity for r in rows)
     if args.format == "json":
         return _emit_json({
             "k": args.k,
             "nmax": args.nmax,
             "all_pass": ok,
-            "rows": [{"n": r.n, "beta1_positive": r.beta1 > 0,
+            "rows": [{"n": r.n, "beta1_positive": r.beta1_positive,
                       "positivity": r.positivity} for r in rows],
         })
     header = ["n", "beta1_positive", "positivity"]
-    out = [(r.n, r.beta1 > 0, r.positivity) for r in rows]
+    out = [(r.n, r.beta1_positive, r.positivity) for r in rows]
     out.append(("all_pass", ok, ""))
     return _tabular(args, header, out)
 

@@ -219,7 +219,8 @@ class SweTable(namedtuple("SweTable", "k n counts")):
 
 
 def swe(code: LinearCode) -> SweTable:
-    """Symmetrized weight enumerator: entries counted by |rho| class."""
+    """Symmetrized weight enumerator: each word counted under the (k+1)-tuple
+    of its entry counts per |rho| class 0..k, which is the output format."""
     k = code.k
     counts = Counter()
     for w in enumerate_codewords(code):
@@ -263,17 +264,18 @@ def theta_cosets(code: LinearCode, norm_cap: int) -> FracSeries:
     if norm_cap > 12:
         raise TooLarge("norm cap restricted to <= 12")
     budget = 2 * k * norm_cap  # bound on |v|^2 in the unscaled lattice
-    # squares of the integers of each residue class mod 2k, ascending
+    # squares of the integers of [-bound, bound] by residue mod 2k, ascending
     bound = math.isqrt(budget)
-    squares = {r: sorted(v * v for v in range(-bound, bound + 1) if v % m == r)
-               for r in range(m)}
+    squares = {}
+    for v in sorted(range(-bound, bound + 1), key=abs):
+        squares.setdefault(v % m, []).append(v * v)
     counts = Counter()
 
     def dfs(word, idx, used):
         if idx == len(word):
             counts[used] += 1
             return
-        for sq in squares[word[idx]]:
+        for sq in squares.get(word[idx], ()):
             if used + sq > budget:
                 break
             dfs(word, idx + 1, used + sq)

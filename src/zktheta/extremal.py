@@ -20,8 +20,8 @@ putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
 Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
 beta2 = beta*_{2(mu+2)} decide existence.  The positivity certificate
 reads each window slot as one dot product; the Theorem 1 sweep reads the
-whole window once per run, then only the slots each longer length adds.
-Everything here is exact integer arithmetic.
+whole window once per run, then the slots each longer length adds, and
+beta1 > 0 off its head layer.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -231,13 +231,13 @@ def _certificate_factors(k: int, T):
 
 
 def _verdict(th1pow: FracSeries, cert, k: int, above: int, mu: int):
-    """(verdict, least coefficient, its exponent) over the window slots with
-    exponent in (above, mu + 1] of th1pow = theta1^(j-1) times each factor
-    of cert, each slot one _coeff_of_product (conditions:
-    positivity_certificate).  The head layer comes first, each slot
-    entering the least coefficient; then the f-layers i = 1..k, slot s of
-    layer i at exponent s + r/4k, only nonzero slots entering; the first
-    minimum wins.  above = -1 reads the whole window.
+    """(verdict, least coefficient, its exponent, head) over the window
+    slots with exponent in (above, mu + 1] of th1pow = theta1^(j-1) times
+    each factor of cert, each slot one _coeff_of_product (conditions:
+    positivity_certificate).  The head layer comes first, each slot entering
+    the least coefficient, head true if all are > 0; then the f-layers i =
+    1..k, slot s at exponent s + r/4k, only nonzero slots entering; the
+    first minimum wins.  above = -1 reads the whole window.
 
     The sweep passes above = mu0 + 1 after the length at mu0 held, with a
     lower power of theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its
@@ -247,10 +247,10 @@ def _verdict(th1pow: FracSeries, cert, k: int, above: int, mu: int):
     0 is B(0) = 0), so every slot that held at mu0 still holds.
     """
     bracket, fparts = cert
-    ok, min_c, min_e = True, math.inf, None
+    head, ok, min_c, min_e = True, True, math.inf, None
     for e in range(max(above + 1, 1), mu + 2):
         c = _coeff_of_product(th1pow, bracket, e)
-        ok = ok and c > 0
+        head = head and c > 0
         if c < min_c:
             min_c, min_e = c, Fraction(e)
     D = 4 * k
@@ -260,7 +260,7 @@ def _verdict(th1pow: FracSeries, cert, k: int, above: int, mu: int):
             ok = ok and (c > 0 if s == i * i // D else c >= 0)
             if c and c < min_c:
                 min_c, min_e = c, Fraction(s * D + r, D)
-    return ok, min_c, min_e
+    return head and ok, min_c, min_e, head
 
 
 def positivity_certificate(n: int, k: int) -> PositivityReport:
@@ -281,7 +281,7 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
     """
     j, mu, nu = shape(n)
     th1, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e = _verdict(power(th1, j - 1), cert, k, -1, mu)
+    ok, min_c, min_e, _ = _verdict(power(th1, j - 1), cert, k, -1, mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -339,8 +339,8 @@ def _per_mu(bracket: FracSeries, th1: FracSeries, h: FracSeries,
     theta1^(3mu) * B * h^(mu+1).  Over a span of S values of mu and f
     factors in all that is about S/m giant and f*(m - 1) baby products; a
     giant product costs about two baby ones, so m = isqrt(2*S // f), at
-    least 1 (timed on scans and sweeps of 34 to 189 mu).  A run within one
-    mu makes neither.  theta1^(j-1) * B * E4^(2-nu) * h^(mu+1) =
+    least 1.  A run within one mu makes neither.  Its one caller is the
+    multi-length _tail_chunk.  theta1^(j-1) * B * E4^(2-nu) * h^(mu+1) =
     C_mu * Q_nu with Q_nu from _q_factors.
     """
     step = mul(power(th1, 3), h)
@@ -419,7 +419,7 @@ def crossover_scan(k: int, n_from: int, n_to: int,
     return ScanResult(k=k, rows=rows, first_negative=first)
 
 
-Theorem1Row = namedtuple("Theorem1Row", "n beta1 positivity")
+Theorem1Row = namedtuple("Theorem1Row", "n beta1_positive positivity")
 
 
 def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
@@ -428,9 +428,9 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     Incremental over j: each step multiplies theta1^(j-1) by theta1.  The
     certificate reads its whole window at the first length of each worker's
     run and after a failed length; while it holds, a longer length reads
-    only the slots its window gains (_verdict).  beta1 is a dot product of
-    a giant of _per_mu, stepped up over mu, against a baby.  Results are
-    identical to the per-n operations.
+    only the slots its window gains (_verdict).  beta1 > 0 is read off its
+    head layer, exact beta1 only where that fails (_theorem1_chunk).  Results
+    are identical to the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -440,26 +440,26 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
 def _theorem1_chunk(k: int, ns_list: list) -> list:
     """Theorem1Row for an ascending run of lengths, all on the integer grid.
 
-    beta1 = -b_{2(mu+1)} = -[t^(mu+1)] C_mu * Q_nu is one _b_at of a giant
-    of _per_mu against its baby.  The certificate rides the upward walk of
-    theta1^(j-1): f0^(8j-1) = theta1^(j-1) * f0^7, so each layer is
-    theta1^(j-1) times a factor fixed per run.  Each length reads the
-    window slots above the top exponent certified so far, or all of them
-    if the last length failed.
+    The certificate rides the upward walk of theta1^(j-1): f0^(8j-1) =
+    theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a factor fixed
+    per run.  At s = mu + 1, b_{2s} = -(j/s) * sum_{e=1..s} c_e * Y_(s-e)
+    with c_e = [t^e] theta1^(j-1) * B, c_0 = B(0) = 0, and Y = E4^(2-nu) *
+    h^s, all of whose coefficients are >= 1 like those of E4 and h.  So
+    where the head layer holds (c_e > 0, e = 1..s), beta1 = -b_{2s} > 0;
+    only where it fails is beta1 computed, by beta_stars.
     """
     if not ns_list:
         return []
     th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
-    qs = {nu: (q,) for nu, q in _q_factors(th1, ns_list).items()}
     j0 = ns_list[0] // 8
     th1pow = power(th1, j0 - 1)
     rows, held = [], -1  # held: top exponent certified so far, -1 for none
-    for n, j, mu, g, (q,) in _per_mu(cert[0], th1, h_series(th1.T), ns_list,
-                                     qs):
+    for n in ns_list:
+        j, mu, _ = shape(n)
         for _ in range(j - j0):
             th1pow = mul(th1pow, th1)
         j0 = j
-        ok = _verdict(th1pow, cert, k, held, mu)[0]
+        ok, _, _, head = _verdict(th1pow, cert, k, held, mu)
         held = mu + 1 if ok else -1
-        rows.append(Theorem1Row(n, -_b_at(g, q, j, mu + 1), ok))
+        rows.append(Theorem1Row(n, head or beta_stars(n, k)[0] > 0, ok))
     return rows

@@ -88,7 +88,7 @@ def test_criterion_4_theorem1_certificate():
     bad = []
     for k in range(1, 7):
         for row in theorem1_sweep(k, 2400, workers=WORKERS):
-            if not (row.beta1 > 0 and row.positivity):
+            if not (row.beta1_positive and row.positivity):
                 bad.append((row.n, k))
     elapsed = time.time() - t0
     record(4, not bad and elapsed < 1800,

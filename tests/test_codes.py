@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,6 +118,24 @@ def test_theta_cosets_min_norm():
     terms = th.nonzero_terms()
     assert terms[0] == (0, 1)
     assert terms[1][0] == 8  # exponent 1 on grid 1/8
+
+
+def test_theta_cosets_linear_in_the_modulus():
+    # one zero word at k = 10^5: only residue 0 has an integer in
+    # [-bound, bound], bound = isqrt(4k); a table over all 2k residues,
+    # each filtered from that range, takes about a minute
+    import time
+    k = 10 ** 5
+    t0 = time.process_time()
+    th = theta_cosets(LinearCode(k=k, n=8, rows=()), 2)
+    assert time.process_time() - t0 < 5
+    assert (th.D, th.T) == (4 * k, 1 + Fraction(1, 4 * k))
+    assert th.nonzero_terms() == [(0, 1)]
+    # k = 50, norm cap 2: the residues 15..85 have no integer in [-14, 14],
+    # so the words 15..85 times the all-ones row add nothing
+    code = LinearCode(k=50, n=8, rows=((1,) * 8,))
+    direct = theta_cosets(code, 2)
+    assert direct == theta_substitution(code, direct.T)
 
 
 def test_theta_cosets_cap_guard():

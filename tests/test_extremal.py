@@ -200,9 +200,9 @@ def test_f_bracket_off_coset_raises(monkeypatch):
     assert extremal._f_bracket(2, 1, 4)[0] == 1
 
 
-def _hand_verdict(mu, edit=None, k=4, T=None):
-    """_verdict over hand-built positive layers cut at T (default mu + 2),
-    with theta1^(j-1) = 1.
+def _hand_layers(mu, edit=None, k=4, T=None):
+    """_verdict's arguments for hand-built positive layers cut at T
+    (default mu + 2), with theta1^(j-1) = 1.
 
     The head layer is 0, 5, 5, ...; the f-layer i sits on the coset
     r = i^2 mod 4k, with 7 from its leading slot i^2 // 4k on (at k = 4 the
@@ -219,7 +219,24 @@ def _hand_verdict(mu, edit=None, k=4, T=None):
     cert = (FracSeries(1, T, layers[0]),
             [(i * i % D, FracSeries(1, T, c))
              for i, c in enumerate(layers[1:], start=1)])
-    return _verdict(FracSeries.constant(1, T), cert, k, -1, mu)
+    return FracSeries.constant(1, T), cert, k, -1, mu
+
+
+def _hand_verdict(*args, **kwargs):
+    """(verdict, least coefficient, its exponent) of _hand_layers."""
+    return _verdict(*_hand_layers(*args, **kwargs))[:3]
+
+
+def test_verdict_reports_head_layer():
+    # head is the head layer alone: an f-layer failure leaves it True
+    mu = 3
+    assert _verdict(*_hand_layers(mu))[3]
+    assert not _verdict(*_hand_layers(mu, {(0, 2): 0}))[3]
+    assert not _verdict(*_hand_layers(mu, {(0, mu + 1): -1}))[3]
+    assert _verdict(*_hand_layers(mu, {(4, mu + 1): -1}))[::3] == \
+        (False, True)
+    # slots at or below `above` are not read
+    assert _verdict(*_hand_layers(mu, {(0, 2): 0})[:3], 2, mu)[3]
 
 
 def test_positivity_failing_branches():
@@ -392,26 +409,48 @@ def test_crossover_scan_giant_steps(monkeypatch):
                     assert (r.beta1, r.beta2) == excess[r.n][k], (k, r.n)
 
 
-def test_theorem1_sweep_giant_steps(monkeypatch):
-    # beta1 at the ends of every giant of the sweep against the definition
-    # oracle; test_theorem1_sweep_matches_per_n_ops checks every row
+def _no_walk(monkeypatch, run):
+    """run(), which must not walk _per_mu."""
+    def walk(*args):
+        raise AssertionError("walked _per_mu")
+
+    monkeypatch.setattr(extremal, "_per_mu", walk)
+    try:
+        return run()
+    finally:
+        monkeypatch.undo()
+
+
+def test_theorem1_sweep_walks_no_giant(monkeypatch):
+    # beta1 > 0 comes off the head layer; every row against beta_stars is
+    # test_theorem1_sweep_matches_per_n_ops
     for k in range(1, 7):
-        rows, ends = _giant_ends(monkeypatch, lambda: theorem1_sweep(k, 480))
-        for row in rows:
-            if row.n // 24 in ends:
-                assert row.beta1 == extremal_excess(row.n, [k])[k][0], row.n
+        rows = _no_walk(monkeypatch, lambda: theorem1_sweep(k, 480))
+        assert [r.n for r in rows] == list(range(8, 481, 8))
+        assert all(r.beta1_positive for r in rows)
+
+
+def test_head_layer_implies_beta1_positive():
+    # the implication the sweep rests on, at every length n <= 480: the
+    # whole-window head layer holds everywhere here, and beta1 > 0 by
+    # coefficient matching, and by the definition oracle at sampled lengths
+    ks = (1, 2, 3, 4, 5, 6, 8, 9)
+    sampled = set(range(8, 481, 56)) | {480}
+    excess = {n: extremal_excess(n, ks) for n in sampled}
+    for k in ks:
+        th1, cert = extremal._certificate_factors(k, 22)
+        for n in range(8, 481, 8):
+            mu = n // 24
+            head = _verdict(power(th1, n // 8 - 1), cert, k, -1, mu)[3]
+            assert head, (k, n)
+            assert -matching_b_list(n, k, 1)[mu + 1] > 0, (k, n)
+            if n in sampled:
+                assert excess[n][k][0] > 0, (k, n)
 
 
 def _one_length(monkeypatch, k, n):
     """_tail_chunk(k, [n]), which must not walk _per_mu."""
-    def walk(*args):
-        raise AssertionError("a one-length run walked _per_mu")
-
-    monkeypatch.setattr(extremal, "_per_mu", walk)
-    try:
-        return extremal._tail_chunk(k, [n])
-    finally:
-        monkeypatch.undo()
+    return _no_walk(monkeypatch, lambda: extremal._tail_chunk(k, [n]))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -493,9 +532,7 @@ def test_theorem1_sweep_matches_per_n_ops():
     for k in range(1, 7):
         rows = theorem1_sweep(k, 480)
         for row in rows:
-            mu = row.n // 24
-            assert row.beta1 == beta_stars(row.n, k)[0]
-            assert row.beta1 == -matching_b_list(row.n, k, 1)[mu + 1]
+            assert row.beta1_positive == (beta_stars(row.n, k)[0] > 0)
             assert row.positivity == positivity_certificate(row.n, k).verdict
         for n_from in (96, 104, 136):
             ns = range(n_from, n_from + 25, 8)
@@ -505,8 +542,8 @@ def test_theorem1_sweep_matches_per_n_ops():
 
 
 @pytest.mark.parametrize("k,edits,flip", [
-    # the head slot 12 enters the window at mu = 11 (the edit is a multiple
-    # of every s <= 21, so each b stays integral)
+    # the head slot 12 enters the window at mu = 11, and from there the
+    # head layer fails
     (2, {(0, 12): -math.lcm(*range(1, 22)) * 10 ** 30}, (True, False)),
     # slot 12 of an f-layer enters at mu = 12 on the coset 1/8 + Z ...
     (2, {(1, 12): -10 ** 40}, (True, False)),
@@ -520,7 +557,8 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
     """Every length's verdict equals a whole-window _verdict, with
     certificate factors edited so it fails and recovers: edits adds a value
     at (layer, slot), layer 0 being the head bracket and i the f-layer of
-    f_i."""
+    f_i.  beta_stars runs at exactly the lengths whose whole-window head
+    layer fails, and their rows match coefficient matching."""
     real = extremal._certificate_factors
 
     def edited(k, T):
@@ -533,10 +571,27 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
         return th1, (layers[0],
                      [(r, f) for (r, _), f in zip(fparts, layers[1:])])
 
+    real_stars, called = extremal.beta_stars, []
+
+    def stars(n, k):
+        called.append(n)
+        return real_stars(n, k)
+
     monkeypatch.setattr(extremal, "_certificate_factors", edited)
+    monkeypatch.setattr(extremal, "beta_stars", stars)
     ns = list(range(8, 481, 8))
     th1, cert = edited(k, 22)
-    full = [extremal._verdict(power(th1, n // 8 - 1), cert, k, -1,
-                              n // 24)[0] for n in ns]
-    assert flip in zip(full, full[1:])
-    assert [r.positivity for r in extremal._theorem1_chunk(k, ns)] == full
+    full = [extremal._verdict(power(th1, n // 8 - 1), cert, k, -1, n // 24)
+            for n in ns]
+    verdicts = [v[0] for v in full]
+    assert flip in zip(verdicts, verdicts[1:])
+    rows = extremal._theorem1_chunk(k, ns)
+    assert [r.positivity for r in rows] == verdicts
+    assert called == [n for n, v in zip(ns, full) if not v[3]]
+    assert bool(called) == ((0, 12) in edits)
+    for r in rows:
+        if r.n in called:
+            assert r.beta1_positive == \
+                (-matching_b_list(r.n, k, 1)[r.n // 24 + 1] > 0), r.n
+        else:
+            assert r.beta1_positive
