@@ -19,8 +19,8 @@ powers of the lacunary f0 and Euler's P instead (_tail_chunk).  The
 putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
 Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
 beta2 = beta*_{2(mu+2)} decide existence.  The positivity certificate
-reads each window slot as one dot product; the Theorem 1 sweep reads the
-whole window once per run, then the slots each longer length adds, and
+reads each window slot as one dot product; the Theorem 1 sweep keeps, per
+layer, the prefix of slots already certified and reads only past it, and
 beta1 > 0 off its head layer.  Everything here is exact integer arithmetic.
 """
 
@@ -80,8 +80,9 @@ class ExtremalProfile(namedtuple("ExtremalProfile",
 class PositivityReport(namedtuple(
         "PositivityReport",
         "n k max_exponent min_coeff min_exponent verdict")):
-    """The certificate checked up to t-exponent max_exponent (= mu): the
-    least coefficient seen in the window, its exponent and the verdict."""
+    """The certificate at max_exponent = mu, its window read through t^(mu+1):
+    the least coefficient seen there, its exponent (up to mu + 1) and the
+    verdict."""
 
     __slots__ = ()
 
@@ -91,9 +92,8 @@ class PositivityReport(namedtuple(
 # ---------------------------------------------------------------------------
 
 def _coeff_of_product(x: FracSeries, y: FracSeries, e: int):
-    """[t^e] x*y on the integer grid, as one exact dot product."""
-    if min(x.T, y.T) <= e:
-        raise OutOfTruncation(f"[t^{e}] needs truncation above {e}")
+    """[t^e] x*y on the integer grid, one exact dot product (x and y must be
+    kept through t^e: the callers raise OutOfTruncation)."""
     ys = y.coeffs[:e + 1]
     ys += [0] * (e + 1 - len(ys))
     return sum(map(operator.mul, x.coeffs[:e + 1], reversed(ys)))
@@ -101,6 +101,8 @@ def _coeff_of_product(x: FracSeries, y: FracSeries, e: int):
 
 def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
     """b_{2s} = -(j/s) * [t^s] x*y, an exact division (else ArithmeticError)."""
+    if min(x.T, y.T) <= s:
+        raise OutOfTruncation(f"[t^{s}] needs truncation above {s}")
     b, rem = divmod(-j * _coeff_of_product(x, y, s), s)
     if rem:
         raise ArithmeticError(f"non-integral b at s={s}")
@@ -190,32 +192,36 @@ def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
 # positivity certificate (Theorem 1.1 machinery)
 # ---------------------------------------------------------------------------
 
-def _bracket(a: FracSeries, b: FracSeries) -> FracSeries:
-    """D*t*(a*b' - a'*b) = a * euler_scaled(b) - euler_scaled(a) * b."""
-    return linear_combine(mul(a, euler_scaled(b)), mul(euler_scaled(a), b),
-                          1, -1)
-
-
 def _theta_bracket(k: int, T):
-    """t * (theta1 * E4' - theta1' * E4) on the integer grid (exact ints)."""
-    th1 = theta1(k, T)
-    return _bracket(th1, eisenstein_e4(T)), th1
+    """t * (theta1 * E4' - theta1' * E4) on the integer grid (exact ints),
+    as theta1 * euler_scaled(E4) - euler_scaled(theta1) * E4."""
+    th1, e4 = theta1(k, T), eisenstein_e4(T)
+    return linear_combine(mul(th1, euler_scaled(e4)),
+                          mul(euler_scaled(th1), e4), 1, -1), th1
 
 
 def _f_bracket(k: int, i: int, T):
     """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B.
 
-    f0 lives on t^Z and f_i on the coset i^2/4k + Z, so the bracket, formed
-    on the 1/(4k) grid, sits on that coset too: r = i^2 mod 4k and B, its
-    slots r, r + 4k, ..., is an integer-grid series of exact ints.  A
-    nonzero coefficient off the coset raises GridViolation.
+    f0 lives on t^Z and f_i on the coset i^2/4k + Z, so the bracket sits on
+    that coset too, r = i^2 mod 4k.  It is summed from lattice terms: each
+    pair c0 * t^(x^2/4k) of f0 and ci * t^(y^2/4k) of f_i adds
+    c0 * ci * (y^2 - x^2) to slot (x^2 + y^2 - r)/4k of B, an integer-grid
+    series of exact ints.  A pair off the coset raises GridViolation.
     """
     D = 4 * k
-    brk = _bracket(theta_f(k, 0, T), theta_f(k, i, T))
-    r = i * i % D
-    if any(any(brk.coeffs[s::D]) for s in range(D) if s != r):
-        raise GridViolation(f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
-    return r, FracSeries(1, T, brk.coeffs[r::D])
+    r, f0, fi = i * i % D, theta_f(k, 0, T), theta_f(k, i, T)
+    ns, yterms = len(f0.coeffs), fi.nonzero_terms()
+    out = [0] * len(range(r, ns, D))
+    for x2, c0 in f0.nonzero_terms():
+        for y2, ci in yterms:
+            if x2 + y2 >= ns:
+                break
+            if (x2 + y2 - r) % D:
+                raise GridViolation(
+                    f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
+            out[(x2 + y2) // D] += c0 * ci * (y2 - x2)
+    return r, FracSeries(1, T, out)
 
 
 def _certificate_factors(k: int, T):
@@ -230,37 +236,40 @@ def _certificate_factors(k: int, T):
     return th1, (bracket, [(r, mul(f07, b)) for r, b in brks])
 
 
-def _verdict(th1pow: FracSeries, cert, k: int, above: int, mu: int):
-    """(verdict, least coefficient, its exponent, head) over the window
-    slots with exponent in (above, mu + 1] of th1pow = theta1^(j-1) times
-    each factor of cert, each slot one _coeff_of_product (conditions:
-    positivity_certificate).  The head layer comes first, each slot entering
-    the least coefficient, head true if all are > 0; then the f-layers i =
-    1..k, slot s at exponent s + r/4k, only nonzero slots entering; the
-    first minimum wins.  above = -1 reads the whole window.
+def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
+    """(verdict, least coefficient, its exponent, head, held) of the window
+    slots, exponents through mu + 1, of th1pow = theta1^(j-1) times each
+    factor of cert (conditions: positivity_certificate), each slot one
+    _coeff_of_product.  held[0] (head layer) and held[i] (f-layer i) give the
+    last slot through which a layer is known to hold; only later slots are
+    read, and the new prefixes are returned.  The head layer comes first,
+    slots 1..mu+1 (slot 0 is B(0) = 0), each entering the least coefficient,
+    head true if it holds through mu + 1; then the f-layers i = 1..k, slot s
+    at exponent s + r/4k, only nonzero slots entering; the first minimum
+    wins.  held = [-1] * (k + 1) reads the whole window.
 
-    The sweep passes above = mu0 + 1 after the length at mu0 held, with a
-    lower power of theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its
-    coefficients are nonnegative and theta1(0) = 1, so a layer L whose
-    slots 0..e are all >= 0 has [t^e] theta1^d * L >= [t^e] L for d >= 0.
-    Every slot below a window slot is a window slot (the head layer's slot
-    0 is B(0) = 0), so every slot that held at mu0 still holds.
+    The sweep passes the prefixes of a shorter length, with a lower power of
+    theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its coefficients
+    are nonnegative and theta1(0) = 1, so a layer L whose slots 0..e are all
+    >= 0 has [t^e] theta1^d * L >= [t^e] L for d >= 0.  A held prefix is
+    such a run, so it still holds.
     """
     bracket, fparts = cert
-    head, ok, min_c, min_e = True, True, math.inf, None
-    for e in range(max(above + 1, 1), mu + 2):
-        c = _coeff_of_product(th1pow, bracket, e)
-        head = head and c > 0
-        if c < min_c:
-            min_c, min_e = c, Fraction(e)
-    D = 4 * k
-    for i, (r, f) in enumerate(fparts, start=1):
-        for s in range(max(above + (r == 0), 0), mu + 1 + (r == 0)):
+    if min(a.T for a in (th1pow, bracket, *(f for _, f in fparts))) <= mu + 1:
+        raise OutOfTruncation(f"[t^{mu + 1}] needs truncation above {mu + 1}")
+    D, min_c, min_e, out, ok = 4 * k, math.inf, None, [], True
+    for i, (r, f) in enumerate([(0, bracket)] + fparts):
+        h = held[i] if i else max(held[0], 0)
+        top = mu + (r == 0)
+        for s in range(h + 1, top + 1):
             c = _coeff_of_product(th1pow, f, s)
-            ok = ok and (c > 0 if s == i * i // D else c >= 0)
-            if c and c < min_c:
+            if h == s - 1 and (c > 0 if not i or s == i * i // D else c >= 0):
+                h = s
+            if (c or not i) and c < min_c:
                 min_c, min_e = c, Fraction(s * D + r, D)
-    return head and ok, min_c, min_e, head
+        out.append(h)
+        ok = ok and h >= top
+    return ok, min_c, min_e, out[0] > mu, out
 
 
 def positivity_certificate(n: int, k: int) -> PositivityReport:
@@ -281,7 +290,8 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
     """
     j, mu, nu = shape(n)
     th1, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e, _ = _verdict(power(th1, j - 1), cert, k, -1, mu)
+    ok, min_c, min_e, _, _ = _verdict(power(th1, j - 1), cert, k,
+                                      [-1] * (k + 1), mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=min_e, verdict=ok)
 
@@ -425,12 +435,9 @@ Theorem1Row = namedtuple("Theorem1Row", "n beta1_positive positivity")
 def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
     """beta1 > 0 plus positivity certificate for all n = 0 mod 8 up to n_max.
 
-    Incremental over j: each step multiplies theta1^(j-1) by theta1.  The
-    certificate reads its whole window at the first length of each worker's
-    run and after a failed length; while it holds, a longer length reads
-    only the slots its window gains (_verdict).  beta1 > 0 is read off its
-    head layer, exact beta1 only where that fails (_theorem1_chunk).  Results
-    are identical to the per-n operations.
+    Incremental over j along each worker's run: each certificate layer reads
+    only past the prefix it has certified (_verdict), and beta1 > 0 comes off
+    the head layer (_theorem1_chunk).  Results equal the per-n operations.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -442,24 +449,31 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
 
     The certificate rides the upward walk of theta1^(j-1): f0^(8j-1) =
     theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a factor fixed
-    per run.  At s = mu + 1, b_{2s} = -(j/s) * sum_{e=1..s} c_e * Y_(s-e)
-    with c_e = [t^e] theta1^(j-1) * B, c_0 = B(0) = 0, and Y = E4^(2-nu) *
-    h^s, all of whose coefficients are >= 1 like those of E4 and h.  So
-    where the head layer holds (c_e > 0, e = 1..s), beta1 = -b_{2s} > 0;
-    only where it fails is beta1 computed, by beta_stars.
+    per run.  The window grows only with mu: once every layer holds at some
+    mu, the other lengths of that mu read nothing, and a length that reads
+    steps theta1^(j-1) up by a cached theta1^d.  At s = mu + 1,
+    b_{2s} = -(j/s) * sum_{e=1..s} c_e * Y_(s-e) with c_e = [t^e]
+    theta1^(j-1) * B, c_0 = B(0) = 0, and Y = E4^(2-nu) * h^s, all of whose
+    coefficients are >= 1 like those of E4 and h.  So where the head layer
+    holds (c_e > 0, e = 1..s), beta1 = -b_{2s} > 0; only where it fails is
+    beta1 computed, by beta_stars.
     """
     if not ns_list:
         return []
     th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
     j0 = ns_list[0] // 8
-    th1pow = power(th1, j0 - 1)
-    rows, held = [], -1  # held: top exponent certified so far, -1 for none
+    th1pow, steps = power(th1, j0 - 1), {}
+    rows, held, done = [], [-1] * (k + 1), None  # done: mu where all held
     for n in ns_list:
         j, mu, _ = shape(n)
-        for _ in range(j - j0):
-            th1pow = mul(th1pow, th1)
-        j0 = j
-        ok, _, _, head = _verdict(th1pow, cert, k, held, mu)
-        held = mu + 1 if ok else -1
+        if mu == done:
+            rows.append(Theorem1Row(n, True, True))
+            continue
+        if j > j0:
+            if j - j0 not in steps:
+                steps[j - j0] = power(th1, j - j0)
+            th1pow, j0 = mul(th1pow, steps[j - j0]), j
+        ok, _, _, head, held = _verdict(th1pow, cert, k, held, mu)
+        done = mu if ok else None
         rows.append(Theorem1Row(n, head or beta_stars(n, k)[0] > 0, ok))
     return rows

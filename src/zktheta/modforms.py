@@ -9,6 +9,7 @@ come from Euler's pentagonal series P = prod (1 - t^m).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, InvalidModulus
@@ -85,8 +86,8 @@ def theta_f(k: int, i: int, T) -> FracSeries:
     residues = {i % (2 * k), (2 * k - i) % (2 * k)}
     weight = 2 if i == 0 or i == k else 1
     terms = {0: 1} if i == 0 else {}
-    x = 1
-    while x * x < T * D:
+    x, top = 1, math.ceil(T * D)  # x * x < T * D, in ints
+    while x * x < top:
         if x % (2 * k) in residues:
             terms[x * x] = weight
         x += 1

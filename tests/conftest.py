@@ -231,6 +231,30 @@ def padded_certificate(n: int, k: int):
     return ok, min_c, min_e
 
 
+def dense_f_bracket(k: int, i: int, T):
+    """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B.
+
+    Oracle for extremal._f_bracket, which sums lattice-term pairs straight
+    into the coset's slots: here the bracket is formed densely on the
+    1/(4k) grid, f0 * euler_scaled(f_i) - euler_scaled(f0) * f_i, and its
+    slots r, r + 4k, ..., r = i^2 mod 4k, are read off; a nonzero
+    coefficient off that coset raises GridViolation.
+    """
+    from zktheta.errors import GridViolation
+    from zktheta.modforms import theta_f
+    from zktheta.series import FracSeries, euler_scaled, linear_combine, mul
+
+    D = 4 * k
+    f0, fi = theta_f(k, 0, T), theta_f(k, i, T)
+    brk = linear_combine(mul(f0, euler_scaled(fi)), mul(euler_scaled(f0), fi),
+                         1, -1)
+    r = i * i % D
+    if any(any(brk.coeffs[s::D]) for s in range(D) if s != r):
+        raise GridViolation(
+            f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
+    return r, FracSeries(1, T, brk.coeffs[r::D])
+
+
 def _coset_vectors(residues, m: int, bound: int):
     """Every integer vector v with v[c] = residues[c] mod m and |v|^2 <= bound.
 

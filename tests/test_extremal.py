@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (binary_power, extremal_excess, lattice_certificate,
-                      matching_b_list, padded_certificate)
+from conftest import (binary_power, dense_f_bracket, extremal_excess,
+                      lattice_certificate, matching_b_list,
+                      padded_certificate)
 from zktheta import extremal
-from zktheta.errors import GridViolation, InvalidLength, PrecisionTooSmall
+from zktheta.errors import (GridViolation, InvalidLength, OutOfTruncation,
+                             PrecisionTooSmall)
 from zktheta.extremal import (
     _verdict,
     b_coefficients,
@@ -134,6 +136,11 @@ def test_positivity_report_fields():
     rep = positivity_certificate(48, 2)
     assert rep.max_exponent == 2
     assert rep.min_coeff > 0
+    # the window runs through exponent mu + 1, so the least coefficient can
+    # sit past max_exponent = mu: here on f_1's slot 0, at t^(1/4)
+    rep = positivity_certificate(8, 1)
+    assert (rep.max_exponent, rep.min_coeff, rep.min_exponent,
+            rep.verdict) == (0, 2, Fraction(1, 4), True)
 
 
 def test_positivity_matches_padded_oracle():
@@ -200,6 +207,18 @@ def test_f_bracket_off_coset_raises(monkeypatch):
     assert extremal._f_bracket(2, 1, 4)[0] == 1
 
 
+def test_f_bracket_matches_dense_grid_oracle():
+    # lattice-term pairs against the bracket formed on the 1/(4k) grid,
+    # slot for slot, including the cut at T
+    for k in range(1, 10):
+        for i in range(1, k + 1):
+            for T in (1, 2, 5, 30):
+                r, b = extremal._f_bracket(k, i, T)
+                want_r, want = dense_f_bracket(k, i, T)
+                assert (r, b.D, b.T, b.coeffs) == \
+                    (want_r, want.D, want.T, want.coeffs), (k, i, T)
+
+
 def _hand_layers(mu, edit=None, k=4, T=None):
     """_verdict's arguments for hand-built positive layers cut at T
     (default mu + 2), with theta1^(j-1) = 1.
@@ -219,7 +238,7 @@ def _hand_layers(mu, edit=None, k=4, T=None):
     cert = (FracSeries(1, T, layers[0]),
             [(i * i % D, FracSeries(1, T, c))
              for i, c in enumerate(layers[1:], start=1)])
-    return FracSeries.constant(1, T), cert, k, -1, mu
+    return FracSeries.constant(1, T), cert, k, [-1] * (k + 1), mu
 
 
 def _hand_verdict(*args, **kwargs):
@@ -235,8 +254,8 @@ def test_verdict_reports_head_layer():
     assert not _verdict(*_hand_layers(mu, {(0, mu + 1): -1}))[3]
     assert _verdict(*_hand_layers(mu, {(4, mu + 1): -1}))[::3] == \
         (False, True)
-    # slots at or below `above` are not read
-    assert _verdict(*_hand_layers(mu, {(0, 2): 0})[:3], 2, mu)[3]
+    # slots at or below a layer's held prefix are not read
+    assert _verdict(*_hand_layers(mu, {(0, 2): 0})[:3], [2] * 5, mu)[3]
 
 
 def test_positivity_failing_branches():
@@ -260,6 +279,17 @@ def test_positivity_failing_branches():
     # the window t^0..t^1, so a non-positive value there is not read
     assert _hand_verdict(0, {(8, 2): -1}, k=8, T=3) == (True, 5, 1)
     assert _hand_verdict(2, {(8, 2): -1}, k=8) == (False, -1, 2)
+
+
+def test_cut_factors_raise_out_of_truncation():
+    # the window reads through t^(mu + 1), so every factor must be kept
+    # above it, whatever the held prefixes; _b_at reads t^s
+    for held in ([-1] * 5, [4] * 5):
+        with pytest.raises(OutOfTruncation):
+            _verdict(*_hand_layers(3, T=4)[:3], held, 3)
+    x = FracSeries.constant(1, 3)
+    with pytest.raises(OutOfTruncation):
+        extremal._b_at(x, x, 1, 3)
 
 
 # -- Eq. (3) value ----------------------------------------------------------
@@ -441,7 +471,8 @@ def test_head_layer_implies_beta1_positive():
         th1, cert = extremal._certificate_factors(k, 22)
         for n in range(8, 481, 8):
             mu = n // 24
-            head = _verdict(power(th1, n // 8 - 1), cert, k, -1, mu)[3]
+            head = _verdict(power(th1, n // 8 - 1), cert, k, [-1] * (k + 1),
+                            mu)[3]
             assert head, (k, n)
             assert -matching_b_list(n, k, 1)[mu + 1] > 0, (k, n)
             if n in sampled:
@@ -528,8 +559,10 @@ def test_theorem1_sweep_worker_determinism(k):
 def test_theorem1_sweep_matches_per_n_ops():
     # the one-run sweep against the per-n operations, then against it: runs
     # starting in every nu class, each spanning two values of mu, and a
-    # three-worker sweep, whose runs start at n = 8, 168 and 328
-    for k in range(1, 7):
+    # three-worker sweep, whose runs start at n = 8, 168 and 328.  For
+    # k = 7, 8, 9 the f_1 layer fails at 11, 21, 21 of the 60 lengths, while
+    # the other layers hold
+    for k in range(1, 10):
         rows = theorem1_sweep(k, 480)
         for row in rows:
             assert row.beta1_positive == (beta_stars(row.n, k)[0] > 0)
@@ -539,6 +572,24 @@ def test_theorem1_sweep_matches_per_n_ops():
             assert extremal._theorem1_chunk(k, list(ns)) == \
                 [rows[n // 8 - 1] for n in ns]
         assert theorem1_sweep(k, 480, workers=3) == rows
+
+
+def _edited_factors(edits):
+    """_certificate_factors with edits[(layer, slot)] added to a factor,
+    layer 0 being the head bracket and i the f-layer of f_i."""
+    real = extremal._certificate_factors
+
+    def edited(k, T):
+        th1, (bracket, fparts) = real(k, T)
+        layers = [bracket] + [f for _, f in fparts]
+        for (i, slot), c in edits.items():
+            coeffs = list(layers[i].coeffs)
+            coeffs[slot] += c
+            layers[i] = FracSeries(1, T, coeffs)
+        return th1, (layers[0],
+                     [(r, f) for (r, _), f in zip(fparts, layers[1:])])
+
+    return edited
 
 
 @pytest.mark.parametrize("k,edits,flip", [
@@ -559,18 +610,7 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
     at (layer, slot), layer 0 being the head bracket and i the f-layer of
     f_i.  beta_stars runs at exactly the lengths whose whole-window head
     layer fails, and their rows match coefficient matching."""
-    real = extremal._certificate_factors
-
-    def edited(k, T):
-        th1, (bracket, fparts) = real(k, T)
-        layers = [bracket] + [f for _, f in fparts]
-        for (i, slot), c in edits.items():
-            coeffs = list(layers[i].coeffs)
-            coeffs[slot] += c
-            layers[i] = FracSeries(1, T, coeffs)
-        return th1, (layers[0],
-                     [(r, f) for (r, _), f in zip(fparts, layers[1:])])
-
+    edited = _edited_factors(edits)
     real_stars, called = extremal.beta_stars, []
 
     def stars(n, k):
@@ -581,7 +621,8 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
     monkeypatch.setattr(extremal, "beta_stars", stars)
     ns = list(range(8, 481, 8))
     th1, cert = edited(k, 22)
-    full = [extremal._verdict(power(th1, n // 8 - 1), cert, k, -1, n // 24)
+    full = [extremal._verdict(power(th1, n // 8 - 1), cert, k,
+                              [-1] * (k + 1), n // 24)
             for n in ns]
     verdicts = [v[0] for v in full]
     assert flip in zip(verdicts, verdicts[1:])
@@ -595,3 +636,84 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
                 (-matching_b_list(r.n, k, 1)[r.n // 24 + 1] > 0), r.n
         else:
             assert r.beta1_positive
+
+
+def _spy_reads(monkeypatch):
+    """Log, in order, ("dot", layer factor, slot) for each slot the sweep
+    reads, ("mul",) for each series product and ("row", n) as each length's
+    row is made."""
+    log = []
+    real_dot, real_mul, real_row = extremal._coeff_of_product, \
+        extremal.mul, extremal.Theorem1Row
+
+    def dot(x, y, e):
+        log.append(("dot", y, e))
+        return real_dot(x, y, e)
+
+    def mul(a, b):
+        log.append(("mul",))
+        return real_mul(a, b)
+
+    def row(n, *rest):
+        log.append(("row", n))
+        return real_row(n, *rest)
+
+    monkeypatch.setattr(extremal, "_coeff_of_product", dot)
+    monkeypatch.setattr(extremal, "mul", mul)
+    monkeypatch.setattr(extremal, "Theorem1Row", row)
+    return log
+
+
+def test_theorem1_chunk_reads_only_new_slots(monkeypatch):
+    # k = 6 holds at every length to 2400: a length whose window adds no
+    # slot makes no dot and no product, and each new mu steps theta1^(j-1)
+    # once and reads one new slot per layer (the per-run factors are built
+    # before the first row)
+    log = _spy_reads(monkeypatch)
+    rows = extremal._theorem1_chunk(6, list(range(8, 2401, 8)))
+    monkeypatch.undo()
+    assert all(r.positivity and r.beta1_positive for r in rows)
+    per_n, work = {}, []
+    for event in log:
+        if event[0] == "row":
+            per_n[event[1]] = work
+            work = []
+        else:
+            work.append(event[0])
+    for n, work in per_n.items():
+        if n == 8:
+            continue
+        if n // 24 == (n - 8) // 24:
+            assert work == [], n
+        else:
+            assert work == ["mul"] + ["dot"] * 7, n
+
+
+def test_theorem1_chunk_rereads_only_failing_layer(monkeypatch):
+    # with the f_1 edit of test_theorem1_chunk_matches_full_certificate the
+    # f_1 layer fails at several lengths, first at slot 1, later at slots 2
+    # and 3: each failing length re-reads f_1 from its first failing slot
+    # on, so a slot of f_1 is read once more per length whose first failure
+    # it was; the head layer, which holds throughout, reads each slot once
+    monkeypatch.setattr(extremal, "_certificate_factors",
+                        _edited_factors({(1, 1): -100}))
+    th1, cert = extremal._certificate_factors(1, 22)
+    ns = list(range(8, 481, 8))
+    full = [_verdict(power(th1, n // 8 - 1), cert, 1, [-1, -1], n // 24)
+            for n in ns]
+    log = _spy_reads(monkeypatch)
+    rows = extremal._theorem1_chunk(1, ns)
+    monkeypatch.undo()
+    assert [r.positivity for r in rows] == [v[0] for v in full]
+    want = {(0, e): 1 for e in range(1, 22)}
+    want.update({(1, s): 1 for s in range(21)})
+    firsts = [v[4][1] + 1 for v in full if not v[0]]
+    assert all(v[3] for v in full) and sorted(set(firsts)) == [1, 2, 3]
+    for s in firsts:
+        want[1, s] += 1
+    reads = {}
+    for event in log:
+        if event[0] == "dot":
+            layer = 0 if event[1] == cert[0] else 1
+            reads[layer, event[2]] = reads.get((layer, event[2]), 0) + 1
+    assert reads == want
