@@ -9,19 +9,17 @@ t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
     b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s   (s >= 1)
 
 and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
-b is one dot product.  Along a run of lengths it is taken by baby-step
-giant-step: a giant, stepped up by a fixed power of a step series, against
-a baby power of that step times a factor fixed per run.  The tail b's read
-C_mu * Q_nu and C_mu * Q_nu * w, with C_mu = theta1^(3mu) * B * h^(mu+1),
-Q_nu = theta1^(nu-1) * E4^(2-nu) and step theta1^3 * h; the full b-list
-reads R * w^s with step w.  A single length takes theta1^(j-1) and h^s as
-powers of the lacunary f0 and Euler's P instead (_tail_chunk).  The
-putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s}
-Delta^s, and its forced tail coefficients beta1 = beta*_{2(mu+1)},
-beta2 = beta*_{2(mu+2)} decide existence.  The positivity certificate
-reads each window slot as one dot product; the Theorem 1 sweep keeps, per
-layer, the prefix of slots already certified and reads only past it, and
-beta1 > 0 off its head layer.  Everything here is exact integer arithmetic.
+b is one dot product, fed by one baby-step giant-step walker (_walk): the
+full b-list walks R * w^s, the tail b's of a run of lengths walk
+C_mu = theta1^(3mu) * B * h^(mu+1) times a factor per nu.  A single length
+takes theta1^(j-1) and h^s as powers of the lacunary f0 and Euler's P
+instead (_tail_chunk).  The putative extremal theta series is
+sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and its forced tail coefficients
+beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)} decide existence.  The
+positivity certificate reads each window slot as one dot product; the
+Theorem 1 sweep keeps, per layer, the prefix of slots already certified
+and reads only past it, and beta1 > 0 off its head layer.  Everything here
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -110,31 +108,20 @@ def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
 
 
 def b_coefficients(n: int, k: int, extra: int = 0) -> list:
-    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann, baby-step giant-step.
-
-    With R = theta1^(j-1) * B * E4^(-j-1) and m = isqrt(count - 1) + 1,
-    b_{2s} = _b_at(R * w^(m*g), w^r) for s = m*g + r: the baby powers
-    w^0..w^(m-1) are kept and R * w^(m*g) steps by the giant w^m, so the
-    whole list costs about 2*sqrt(count) products.
-    """
+    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann: _b_at(R * w^s, 1)
+    with R = theta1^(j-1) * B * E4^(-j-1), walked as giant R, step w and
+    the one factor w at offset s - 1."""
     _check_length(n)
     if extra < 0:
         raise ValueError("extra must be >= 0")
     j, mu, _ = shape(n)
     count = mu + extra + 1
-    bracket, th1 = _theta_bracket(k, count)
-    e4 = eisenstein_e4(count)
+    th1, e4 = theta1(k, count), eisenstein_e4(count)
     w = mul(power(e4, 3), h_series(count))
-    m = math.isqrt(count - 1) + 1
-    baby = list(itertools.accumulate([w] * (m - 1), mul, initial=power(w, 0)))
-    giant = mul(baby[-1], w)
-    r = mul(mul(power(th1, j - 1), bracket), power(e4, -j - 1))
-    b = [1]
-    for s in range(1, count):
-        if s % m == 0:
-            r = mul(r, giant)
-        b.append(_b_at(r, baby[s % m], j, s))
-    return b
+    r = mul(mul(power(th1, j - 1), _theta_bracket(th1, e4)),
+            power(e4, -j - 1))
+    walk = _walk(r, w, {0: [w]}, [(d, 0) for d in range(count - 1)])
+    return [1] + [_b_at(g, x, j, s) for s, (g, [x]) in enumerate(walk, 1)]
 
 
 def beta_stars(n: int, k: int):
@@ -192,16 +179,16 @@ def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
 # positivity certificate (Theorem 1.1 machinery)
 # ---------------------------------------------------------------------------
 
-def _theta_bracket(k: int, T):
+def _theta_bracket(th1: FracSeries, e4: FracSeries) -> FracSeries:
     """t * (theta1 * E4' - theta1' * E4) on the integer grid (exact ints),
     as theta1 * euler_scaled(E4) - euler_scaled(theta1) * E4."""
-    th1, e4 = theta1(k, T), eisenstein_e4(T)
     return linear_combine(mul(th1, euler_scaled(e4)),
-                          mul(euler_scaled(th1), e4), 1, -1), th1
+                          mul(euler_scaled(th1), e4), 1, -1)
 
 
-def _f_bracket(k: int, i: int, T):
-    """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B.
+def _f_bracket(k: int, i: int, f0: FracSeries):
+    """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B, for
+    f0 = theta_f(k, 0, T) and f_i built here at the same T.
 
     f0 lives on t^Z and f_i on the coset i^2/4k + Z, so the bracket sits on
     that coset too, r = i^2 mod 4k.  It is summed from lattice terms: each
@@ -210,7 +197,7 @@ def _f_bracket(k: int, i: int, T):
     series of exact ints.  A pair off the coset raises GridViolation.
     """
     D = 4 * k
-    r, f0, fi = i * i % D, theta_f(k, 0, T), theta_f(k, i, T)
+    r, fi = i * i % D, theta_f(k, i, f0.T)
     ns, yterms = len(f0.coeffs), fi.nonzero_terms()
     out = [0] * len(range(r, ns, D))
     for x2, c0 in f0.nonzero_terms():
@@ -221,19 +208,22 @@ def _f_bracket(k: int, i: int, T):
                 raise GridViolation(
                     f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
             out[(x2 + y2) // D] += c0 * ci * (y2 - x2)
-    return r, FracSeries(1, T, out)
+    return r, FracSeries(1, f0.T, out)
 
 
 def _certificate_factors(k: int, T):
     """theta1 and (bracket, [(r_i, f0^7 * B_i) for i = 1..k]), all on t^Z.
 
     f0^(8j-1) = theta1^(j-1) * f0^7, so every certificate layer at n = 8j
-    is theta1^(j-1) times the bracket or one of the f0^7 * B_i.
+    is theta1^(j-1) times the bracket or one of the f0^7 * B_i.  One f0
+    gives them all, theta1 = f0^8 as in modforms.theta1.
     """
-    bracket, th1 = _theta_bracket(k, T)
-    f07 = power(theta_f(k, 0, T).regrid(1), 7)
-    brks = [_f_bracket(k, i, T) for i in range(1, k + 1)]
-    return th1, (bracket, [(r, mul(f07, b)) for r, b in brks])
+    f0 = theta_f(k, 0, T)
+    f0z = f0.regrid(1)
+    th1, f07 = power(f0z, 8), power(f0z, 7)
+    brks = [_f_bracket(k, i, f0) for i in range(1, k + 1)]
+    return th1, (_theta_bracket(th1, eisenstein_e4(T)),
+                 [(r, mul(f07, b)) for r, b in brks])
 
 
 def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
@@ -338,46 +328,26 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
     return [r for part in parts for r in part]
 
 
-def _per_mu(bracket: FracSeries, th1: FracSeries, h: FracSeries,
-            ns_list: list, factors: dict):
-    """Yield (n, j, mu, giant, babies) along an ascending run.
+def _walk(giant: FracSeries, step: FracSeries, factors: dict, keyed: list):
+    """Yield (g, babies) for each (d, key) of keyed, ascending in d >= 0,
+    with [t^e] g * babies[i] = [t^e] giant * step^d * factors[key][i].
 
-    Baby-step giant-step over mu with step = theta1^3 * h: with mu_lo the
-    run's least mu and mu = mu_lo + m*g + r, giant = C_(mu_lo + m*g) is
-    stepped up by step^m and babies[i] = step^r * F for the i-th factor F
-    of factors[nu], so [t^e] C_mu * F = [t^e] giant * babies[i] with C_mu =
-    theta1^(3mu) * B * h^(mu+1).  Over a span of S values of mu and f
-    factors in all that is about S/m giant and f*(m - 1) baby products; a
-    giant product costs about two baby ones, so m = isqrt(2*S // f), at
-    least 1.  A run within one mu makes neither.  Its one caller is the
-    multi-length _tail_chunk.  theta1^(j-1) * B * E4^(2-nu) * h^(mu+1) =
-    C_mu * Q_nu with Q_nu from _q_factors.
+    Baby-step giant-step: for d = m*q + r, g = giant * step^(m*q) is
+    stepped up by step^m and babies[i] = step^r * factors[key][i].  Over a
+    span of S values of d and f factors that is about S/m giant and
+    f*(m - 1) baby products; a giant costs about two babies, so
+    m = isqrt(2*S // f), at least 1.
     """
-    step = mul(power(th1, 3), h)
-    mu_g = ns_list[0] // 24
-    span = ns_list[-1] // 24 - mu_g + 1
+    span = keyed[-1][0] + 1 if keyed else 0
     m = max(1, math.isqrt(2 * span // sum(map(len, factors.values()))))
-    babies = {nu: [list(itertools.accumulate([step] * (m - 1), mul,
-                                             initial=f)) for f in fs]
-              for nu, fs in factors.items()}
-    giant = mul(mul(power(step, mu_g), bracket), h)
-    stride = power(step, m)
-    for n in ns_list:
-        j, mu, nu = shape(n)
-        while mu >= mu_g + m:
-            giant = mul(giant, stride)
-            mu_g += m
-        yield n, j, mu, giant, [b[mu - mu_g] for b in babies[nu]]
-
-
-def _q_factors(th1: FracSeries, ns_list: list) -> dict:
-    """{nu: theta1^(nu-1) * E4^(2-nu)} for the nu classes in the run.
-
-    theta1(0) = 1, so theta1^(-1) is integral.
-    """
-    e4 = eisenstein_e4(th1.T)
-    return {nu: mul(power(th1, nu - 1), power(e4, 2 - nu))
-            for nu in {n // 8 % 3 for n in ns_list}}
+    babies = {key: [list(itertools.accumulate([step] * (m - 1), mul,
+                                              initial=f)) for f in fs]
+              for key, fs in factors.items()}
+    stride, d_g = power(step, m), 0
+    for d, key in keyed:
+        while d >= d_g + m:
+            giant, d_g = mul(giant, stride), d_g + m
+        yield giant, [b[d - d_g] for b in babies[key]]
 
 
 def _tail_chunk(k: int, ns_list: list) -> list:
@@ -388,15 +358,16 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     length.  A run of one length takes X = f0^(8(j-1)) and h^s = P^(-24s)
     from Miller's recurrence over the lacunary f0 and P, and leaves only the
     two X * Z products and the two dots dense.  A run of two or more walks
-    _per_mu, whose baby-step giant-step shares its step products across the
-    lengths: there the b's are [t^(mu+1)] C_mu * Q_nu and [t^(mu+2)] C_mu *
-    Q_nu * w, w = E4^3 * h, each one _b_at of a giant against its baby.
+    C_mu = theta1^(3mu) * B * h^(mu+1) from the run's least mu0 by step
+    theta1^3 * h, offset mu - mu0 and key nu: the b's are [t^(mu+1)] C_mu *
+    Q_nu and [t^(mu+2)] C_mu * Q_nu * w, with w = E4^3 * h and the integral
+    Q_nu = theta1^(nu-1) * E4^(2-nu) (theta1(0) = 1).
     """
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 3
-    bracket, th1 = _theta_bracket(k, T)
-    e4 = eisenstein_e4(T)
+    th1, e4 = theta1(k, T), eisenstein_e4(T)
+    bracket = _theta_bracket(th1, e4)
     if len(ns_list) == 1:
         n = ns_list[0]
         j, mu, nu = shape(n)
@@ -406,10 +377,16 @@ def _tail_chunk(k: int, ns_list: list) -> list:
         return [(n, _b_at(mul(x, z1), h_series(T, mu + 1), j, mu + 1),
                  _b_at(mul(x, z2), h_series(T, mu + 2), j, mu + 2))]
     h = h_series(T)
-    w = mul(power(e4, 3), h)
-    qs = {nu: (q, mul(q, w)) for nu, q in _q_factors(th1, ns_list).items()}
-    return [(n, _b_at(g, q, j, mu + 1), _b_at(g, qw, j, mu + 2))
-            for n, j, mu, g, (q, qw) in _per_mu(bracket, th1, h, ns_list, qs)]
+    w, step = mul(power(e4, 3), h), mul(power(th1, 3), h)
+    qs = {nu: mul(power(th1, nu - 1), power(e4, 2 - nu))
+          for nu in {n // 8 % 3 for n in ns_list}}
+    mu0 = ns_list[0] // 24
+    walk = _walk(mul(mul(power(step, mu0), bracket), h), step,
+                 {nu: [q, mul(q, w)] for nu, q in qs.items()},
+                 [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
+    return [(n, _b_at(g, q, n // 8, n // 24 + 1),
+             _b_at(g, qw, n // 8, n // 24 + 2))
+            for n, (g, (q, qw)) in zip(ns_list, walk)]
 
 
 def crossover_scan(k: int, n_from: int, n_to: int,

@@ -169,7 +169,7 @@ def uncancelled_g_ratio(t0):
 
     from zktheta.asymptotics import eval_series
     from zktheta.extremal import _theta_bracket
-    from zktheta.modforms import eisenstein_e4, h_series
+    from zktheta.modforms import eisenstein_e4, h_series, theta1
     from zktheta.series import mul, power
 
     j = 30
@@ -177,9 +177,9 @@ def uncancelled_g_ratio(t0):
         prev = None
         for T in (160, 320, 640):
             # the bracket carries a factor t, which cancels in the ratio
-            bracket, th1 = _theta_bracket(1, T)
-            core = mul(mul(power(th1, j - 1), bracket), h_series(T))
-            e4 = eisenstein_e4(T)
+            th1, e4 = theta1(1, T), eisenstein_e4(T)
+            core = mul(mul(power(th1, j - 1), _theta_bracket(th1, e4)),
+                       h_series(T))
             ratio = (eval_series(mul(power(e4, 5), core), t0)
                      / eval_series(mul(power(e4, 2), core), t0))
             if prev is not None and abs(ratio / prev - 1) < mp.mpf("1e-12"):
@@ -202,12 +202,13 @@ def padded_certificate(n: int, k: int):
     from fractions import Fraction
 
     from zktheta.extremal import _theta_bracket
-    from zktheta.modforms import theta_f
+    from zktheta.modforms import eisenstein_e4, theta1, theta_f
     from zktheta.series import euler_scaled, linear_combine, mul
 
     j, mu = n // 8, n // 24
     T, D = mu + 2, 4 * k
-    bracket, th1 = _theta_bracket(k, T)
+    th1 = theta1(k, T)
+    bracket = _theta_bracket(th1, eisenstein_e4(T))
     s1 = mul(binary_power(th1, j - 1), bracket)
     head = [s1.coeff_index(e) for e in range(1, mu + 2)]
     min_c = min(head)

@@ -62,9 +62,10 @@ def test_burmann_agrees_small():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_burmann_agrees_sweep(k):
-    # n = 552 (mu = 23) with extra = 2 has count - 1 = 25 = 5^2: giant steps
-    # of w^6 at s = 6, 12, 18, 24, and the list ends one past the last
-    for n in [*range(24, 241, 24), 552]:
+    # n = 408 (mu = 17) with extra = 2 walks offsets d = s - 1 = 0..18, a
+    # span of 19, so m = isqrt(38) = 6: the giant steps by w^6 at s = 7, 13
+    # and 19, and the list ends on that freshly stepped giant
+    for n in [*range(24, 241, 24), 408]:
         assert matching_b_list(n, k, 2) == b_coefficients(n, k, 2)
 
 
@@ -201,10 +202,30 @@ def test_f_bracket_off_coset_raises(monkeypatch):
         return real(k, i, T) + extra if i == 1 else real(k, i, T)
 
     monkeypatch.setattr(extremal, "theta_f", skewed)
+    f0 = theta_f(2, 0, 4)
     with pytest.raises(GridViolation):
-        extremal._f_bracket(2, 1, 4)
+        extremal._f_bracket(2, 1, f0)
     monkeypatch.undo()
-    assert extremal._f_bracket(2, 1, 4)[0] == 1
+    assert extremal._f_bracket(2, 1, f0)[0] == 1
+
+
+def test_certificate_factors_build_f0_once(monkeypatch):
+    # theta1, f0^7 and every f-bracket come from one f0; modforms.theta1
+    # would build its own, so both bindings are watched
+    from zktheta import modforms
+
+    calls, real = [], modforms.theta_f
+
+    def counted(k, i, T):
+        calls.append(i)
+        return real(k, i, T)
+
+    monkeypatch.setattr(modforms, "theta_f", counted)
+    monkeypatch.setattr(extremal, "theta_f", counted)
+    for k in (1, 3, 6):
+        calls.clear()
+        extremal._certificate_factors(k, 12)
+        assert calls.count(0) == 1 and sorted(calls) == list(range(k + 1))
 
 
 def test_f_bracket_matches_dense_grid_oracle():
@@ -213,7 +234,7 @@ def test_f_bracket_matches_dense_grid_oracle():
     for k in range(1, 10):
         for i in range(1, k + 1):
             for T in (1, 2, 5, 30):
-                r, b = extremal._f_bracket(k, i, T)
+                r, b = extremal._f_bracket(k, i, theta_f(k, 0, T))
                 want_r, want = dense_f_bracket(k, i, T)
                 assert (r, b.D, b.T, b.coeffs) == \
                     (want_r, want.D, want.T, want.coeffs), (k, i, T)
@@ -400,19 +421,19 @@ def test_crossover_scan_matches_direct_profiles():
 
 
 def _giant_ends(monkeypatch, run):
-    """run(), and the first (r = 0) and last (r = m - 1) mu read off each
-    giant of _per_mu; the run must step its giant at least twice, with at
-    least three mu per giant."""
-    real, giants = extremal._per_mu, []
+    """run(), and the first (r = 0) and last (r = m - 1) offset d = mu - mu0
+    read off each giant of _walk; the run must step its giant at least
+    twice, with at least three offsets per giant."""
+    real, giants = extremal._walk, []
 
-    def spy(*args):
-        for item in real(*args):
-            if not giants or giants[-1][0] is not item[3]:
-                giants.append((item[3], []))
-            giants[-1][1].append(item[2])
+    def spy(giant, step, factors, keyed):
+        for (d, _), item in zip(keyed, real(giant, step, factors, keyed)):
+            if not giants or giants[-1][0] is not item[0]:
+                giants.append((item[0], []))
+            giants[-1][1].append(d)
             yield item
 
-    monkeypatch.setattr(extremal, "_per_mu", spy)
+    monkeypatch.setattr(extremal, "_walk", spy)
     result = run()
     monkeypatch.undo()
     assert len(giants) >= 3 and len(set(giants[0][1])) >= 3
@@ -421,9 +442,9 @@ def _giant_ends(monkeypatch, run):
 
 def test_crossover_scan_giant_steps(monkeypatch):
     # runs over 29 values of mu, starting in each nu class: every row
-    # against profile, which reads the full b-list by a separate baby-step
-    # giant-step over s, and the ends of every giant against the
-    # definition oracle
+    # against profile.  profile's full b-list walks the same _walk, so the
+    # independent checks sit at the ends of every giant: the definition
+    # oracle for the betas and matching_b_list for profile's b-list
     for n_from in (8, 104, 136):
         excess = {}
         for k in range(1, 7):
@@ -432,19 +453,21 @@ def test_crossover_scan_giant_steps(monkeypatch):
             assert [r.n for r in res.rows] == \
                 list(range(n_from, n_from + 665, 8))
             for r in res.rows:
-                assert (r.beta1, r.beta2) == profile(r.n, k)[-2:], (k, r.n)
-                if r.n // 24 in ends:
+                p = profile(r.n, k)
+                assert (r.beta1, r.beta2) == (p.beta1, p.beta2), (k, r.n)
+                if r.n // 24 - n_from // 24 in ends:
                     if r.n not in excess:
                         excess[r.n] = extremal_excess(r.n, range(1, 7))
                     assert (r.beta1, r.beta2) == excess[r.n][k], (k, r.n)
+                    assert p.b == matching_b_list(r.n, k, 2), (k, r.n)
 
 
 def _no_walk(monkeypatch, run):
-    """run(), which must not walk _per_mu."""
+    """run(), which must not call _walk."""
     def walk(*args):
-        raise AssertionError("walked _per_mu")
+        raise AssertionError("called _walk")
 
-    monkeypatch.setattr(extremal, "_per_mu", walk)
+    monkeypatch.setattr(extremal, "_walk", walk)
     try:
         return run()
     finally:
@@ -480,14 +503,14 @@ def test_head_layer_implies_beta1_positive():
 
 
 def _one_length(monkeypatch, k, n):
-    """_tail_chunk(k, [n]), which must not walk _per_mu."""
+    """_tail_chunk(k, [n]), which must not call _walk."""
     return _no_walk(monkeypatch, lambda: extremal._tail_chunk(k, [n]))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_one_length_tail_matches_baby_step_giant_step(monkeypatch, k):
     # a one-length run takes the lacunary powers; the two-length runs that
-    # contain n walk _per_mu.  Every nu class, at small mu and at mu = 100
+    # contain n call _walk.  Every nu class, at small mu and at mu = 100
     for pair in ((8, 16), (16, 24), (24, 32), (2400, 2408), (2408, 2416)):
         walked = extremal._tail_chunk(k, list(pair))
         for n, row in zip(pair, walked):
