@@ -11,9 +11,9 @@ t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
 and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
 b is one dot product, fed by one baby-step giant-step walker (_walk): the
 full b-list walks R * w^s, the tail b's of a run of lengths walk
-C_mu = theta1^(3mu) * B * h^(mu+1) times a factor per nu.  A single length
-takes theta1^(j-1) and h^s as powers of the lacunary f0 and Euler's P
-instead (_tail_chunk).  The putative extremal theta series is
+C_mu = theta1^(3mu) * B * h^(mu+1) times a factor per nu.  Powers of
+theta1 = f0^8 and h = P^(-24) are taken as powers of the lacunary f0 and
+Euler's P, and E4^2, E4^3 as products.  The putative extremal theta series is
 sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and its forced tail coefficients
 beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)} decide existence.  The
 positivity certificate reads each window slot as one dot product; the
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
                      OutOfTruncation, PrecisionTooSmall)
-from .modforms import delta24, eisenstein_e4, h_series, theta1, theta_f
+from .modforms import delta24, eisenstein_e4, h_series, theta_f
 from .series import (
     FracSeries,
     euler_scaled,
@@ -109,16 +109,16 @@ def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
 
 def b_coefficients(n: int, k: int, extra: int = 0) -> list:
     """b_{2s} for s = 0..mu+extra by Lagrange-Buermann: _b_at(R * w^s, 1)
-    with R = theta1^(j-1) * B * E4^(-j-1), walked as giant R, step w and
-    the one factor w at offset s - 1."""
+    with R = theta1^(j-1) * B * E4^(-j-1), theta1^(j-1) = f0^(8(j-1)),
+    walked as giant R, step w and the one factor w at offset s - 1."""
     _check_length(n)
     if extra < 0:
         raise ValueError("extra must be >= 0")
     j, mu, _ = shape(n)
     count = mu + extra + 1
-    th1, e4 = theta1(k, count), eisenstein_e4(count)
-    w = mul(power(e4, 3), h_series(count))
-    r = mul(mul(power(th1, j - 1), _theta_bracket(th1, e4)),
+    f0, e4 = theta_f(k, 0, count).regrid(1), eisenstein_e4(count)
+    w = mul(mul(mul(e4, e4), e4), h_series(count))
+    r = mul(mul(power(f0, 8 * (j - 1)), _theta_bracket(power(f0, 8), e4)),
             power(e4, -j - 1))
     walk = _walk(r, w, {0: [w]}, [(d, 0) for d in range(count - 1)])
     return [1] + [_b_at(g, x, j, s) for s, (g, [x]) in enumerate(walk, 1)]
@@ -335,8 +335,9 @@ def _walk(giant: FracSeries, step: FracSeries, factors: dict, keyed: list):
     Baby-step giant-step: for d = m*q + r, g = giant * step^(m*q) is
     stepped up by step^m and babies[i] = step^r * factors[key][i].  Over a
     span of S values of d and f factors that is about S/m giant and
-    f*(m - 1) baby products; a giant costs about two babies, so
-    m = isqrt(2*S // f), at least 1.
+    f*(m - 1) baby products; a giant costs about two babies (2.2-2.3 at
+    the scan's 236-slot window, Karatsuba for both), so m = isqrt(2*S // f),
+    at least 1.
     """
     span = keyed[-1][0] + 1 if keyed else 0
     m = max(1, math.isqrt(2 * span // sum(map(len, factors.values()))))
@@ -354,10 +355,11 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
     They are [t^s] X * Z * h^s at s = mu+1, mu+2, with X = theta1^(j-1),
-    Z1 = B * E4^(2-nu) and Z2 = Z1 * E4^3.  The route is chosen by the run
-    length.  A run of one length takes X = f0^(8(j-1)) and h^s = P^(-24s)
-    from Miller's recurrence over the lacunary f0 and P, and leaves only the
-    two X * Z products and the two dots dense.  A run of two or more walks
+    Z1 = B * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run: each
+    power of theta1 = f0^8 and h = P^(-24) comes from Miller's recurrence
+    over the lacunary f0 or P, and E4^2, E4^3 are products.  The route is
+    chosen by the run length.  A run of one length leaves only the two
+    X * Z products and the two dots dense.  A run of two or more walks
     C_mu = theta1^(3mu) * B * h^(mu+1) from the run's least mu0 by step
     theta1^3 * h, offset mu - mu0 and key nu: the b's are [t^(mu+1)] C_mu *
     Q_nu and [t^(mu+2)] C_mu * Q_nu * w, with w = E4^3 * h and the integral
@@ -366,22 +368,24 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 3
-    th1, e4 = theta1(k, T), eisenstein_e4(T)
-    bracket = _theta_bracket(th1, e4)
+    f0, e4 = theta_f(k, 0, T).regrid(1), eisenstein_e4(T)
+    bracket = _theta_bracket(power(f0, 8), e4)
+    e4s = [FracSeries.constant(1, T), *itertools.accumulate([e4] * 3, mul)]
     if len(ns_list) == 1:
         n = ns_list[0]
         j, mu, nu = shape(n)
-        x = power(theta_f(k, 0, T).regrid(1), 8 * (j - 1))
-        z1 = mul(bracket, power(e4, 2 - nu))
-        z2 = mul(z1, power(e4, 3))
+        x = power(f0, 8 * (j - 1))
+        z1 = mul(bracket, e4s[2 - nu])
+        z2 = mul(z1, e4s[3])
         return [(n, _b_at(mul(x, z1), h_series(T, mu + 1), j, mu + 1),
                  _b_at(mul(x, z2), h_series(T, mu + 2), j, mu + 2))]
     h = h_series(T)
-    w, step = mul(power(e4, 3), h), mul(power(th1, 3), h)
-    qs = {nu: mul(power(th1, nu - 1), power(e4, 2 - nu))
+    w, step = mul(e4s[3], h), mul(power(f0, 24), h)
+    qs = {nu: mul(power(f0, 8 * (nu - 1)), e4s[2 - nu])
           for nu in {n // 8 % 3 for n in ns_list}}
     mu0 = ns_list[0] // 24
-    walk = _walk(mul(mul(power(step, mu0), bracket), h), step,
+    opening = mul(mul(power(f0, 24 * mu0), h_series(T, mu0 + 1)), bracket)
+    walk = _walk(opening, step,
                  {nu: [q, mul(q, w)] for nu, q in qs.items()},
                  [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
     return [(n, _b_at(g, q, n // 8, n // 24 + 1),

@@ -4,8 +4,10 @@ A :class:`FracSeries` stores coefficients of t^(e/D) for integer e >= 0 on a
 dense grid, with everything below an explicit truncation T kept exactly.
 Coefficients are exact Python ints and no floating point enters anywhere;
 a result that is not integral (see ``power``, ``differentiate``) raises
-ArithmeticError.  Products walk nonzero pairs only, so stored zeros cost no
-arithmetic.  Miller's recurrence gives every integer power.
+ArithmeticError.  A product of two long dense operands is a Karatsuba short
+product on the coefficient lists; every other product walks nonzero pairs
+only, so stored zeros cost no arithmetic.  Miller's recurrence gives every
+integer power.
 
 The variable t is q^2 throughout the package.
 """
@@ -13,6 +15,7 @@ The variable t is q^2 throughout the package.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -210,25 +213,88 @@ def linear_combine(a: FracSeries, b: FracSeries, alpha, beta) -> FracSeries:
 def mul(a: FracSeries, b: FracSeries) -> FracSeries:
     """Exact Cauchy product truncated at min(T_a, T_b).
 
-    Schoolbook over nonzero pairs: each nonzero term of a meets the nonzero
-    terms of b in ascending order, up to the first whose index sum leaves
-    the window.  Zero slots, such as the padding of a sparse series on a
-    refined grid, are never visited.
+    Two products, chosen from the operands.  A window of more than _GATE
+    slots in which both operands have more than half their slots nonzero
+    takes the Karatsuba short product (_short): it keeps only the window,
+    where the product of the high halves would land wholly at or past the
+    truncation, so that high x high block is never formed.  Everything
+    else, such as short windows, sparse series and the zero padding of a
+    refined grid, takes the schoolbook over nonzero pairs: each nonzero
+    term of a meets the nonzero terms of b in ascending order, up to the
+    first whose index sum leaves the window, so zero slots are never
+    visited.
     """
     a, b = _align(a, b)
     T = min(a.T, b.T)
     ns = _slots(a.D, T)
+    if ns > _GATE:
+        x, y = a.coeffs[:ns], b.coeffs[:ns]
+        if (2 * (len(x) - x.count(0)) > ns
+                and 2 * (len(y) - y.count(0)) > ns):
+            x += [0] * (ns - len(x))
+            y += [0] * (ns - len(y))
+            return FracSeries(a.D, T, _short(x, y, ns))
+    return FracSeries(a.D, T, _school(a.coeffs, b.coeffs, ns))
+
+
+# Karatsuba on plain coefficient lists for windows over _GATE slots (below
+# that the schoolbook is as fast), recursing down to _BASE slots; both are
+# set from timings of the scan's dense products.
+_GATE, _BASE = 128, 16
+
+
+def _school(x: list, y: list, ns: int) -> list:
+    """The first ns slots of x*y, schoolbook over nonzero pairs."""
     out = [0] * ns
-    tb = b.nonzero_terms()
-    for ea, ca in a.nonzero_terms():
+    ty = [(e, c) for e, c in enumerate(y) if c]
+    for ea, ca in [(e, c) for e, c in enumerate(x) if c]:
         if ea >= ns:
             break
         lim = ns - ea
-        for eb, cb in tb:
+        for eb, cb in ty:
             if eb >= lim:
                 break
             out[ea + eb] += ca * cb
-    return FracSeries(a.D, T, out)
+    return out
+
+
+def _full(x: list, y: list) -> list:
+    """x*y, all 2n - 1 slots, for x and y of one length n: Karatsuba with
+    x = x0 + t^h x1, x0*y0 and x1*y1 and the middle (x0 + x1)(y0 + y1)
+    minus both."""
+    n = len(x)
+    if n <= _BASE:
+        return _school(x, y, 2 * n - 1)
+    h = n // 2
+    z0, z2 = _full(x[:h], y[:h]), _full(x[h:], y[h:])
+    mid = _full([*map(operator.add, x[:h], x[h:]), *x[2 * h:]],
+                [*map(operator.add, y[:h], y[h:]), *y[2 * h:]])
+    out = z0 + [0] + z2
+    for i, c in enumerate(map(operator.sub, mid, z2), h):
+        out[i] += c
+    for i, c in enumerate(z0, h):
+        out[i] -= c
+    return out
+
+
+def _short(x: list, y: list, n: int) -> list:
+    """The first n slots of x*y, for x and y of length n.
+
+    With h = ceil(n/2) and x = x0 + t^h x1, the low halves' full product
+    gives slots below 2h - 1 and the cross products x0*y1 and x1*y0, short
+    again, give slots h..n-1.  x1*y1 starts at t^(2h), at or past t^n, so
+    that high x high block is never formed.
+    """
+    if n <= _BASE:
+        return _school(x, y, n)
+    h = (n + 1) // 2
+    lo = n - h
+    out = _full(x[:h], y[:h])
+    out += [0] * (n - len(out))
+    for i, c in enumerate(map(operator.add, _short(x[:lo], y[h:], lo),
+                              _short(x[h:], y[:lo], lo)), h):
+        out[i] += c
+    return out
 
 
 def power(a: FracSeries, m: int) -> FracSeries:

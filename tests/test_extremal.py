@@ -209,9 +209,9 @@ def test_f_bracket_off_coset_raises(monkeypatch):
     assert extremal._f_bracket(2, 1, f0)[0] == 1
 
 
-def test_certificate_factors_build_f0_once(monkeypatch):
-    # theta1, f0^7 and every f-bracket come from one f0; modforms.theta1
-    # would build its own, so both bindings are watched
+def _theta_f_calls(monkeypatch, run):
+    """The index i of every theta_f call made by run(); modforms.theta1
+    would build its own f0, so both bindings are watched."""
     from zktheta import modforms
 
     calls, real = [], modforms.theta_f
@@ -222,10 +222,28 @@ def test_certificate_factors_build_f0_once(monkeypatch):
 
     monkeypatch.setattr(modforms, "theta_f", counted)
     monkeypatch.setattr(extremal, "theta_f", counted)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_certificate_factors_build_f0_once(monkeypatch):
+    # theta1, f0^7 and every f-bracket come from one f0
     for k in (1, 3, 6):
-        calls.clear()
-        extremal._certificate_factors(k, 12)
+        calls = _theta_f_calls(
+            monkeypatch, lambda: extremal._certificate_factors(k, 12))
         assert calls.count(0) == 1 and sorted(calls) == list(range(k + 1))
+
+
+def test_tail_chunk_builds_f0_once(monkeypatch):
+    # the bracket's theta1, theta1^(j-1), the step and Q_nu all come from
+    # one f0, on the one-length route and on the walk
+    for k, run in ((2, [2400]), (2, [2400, 2408, 2416]), (1, [552]),
+                   (6, [96, 104])):
+        calls = _theta_f_calls(monkeypatch,
+                               lambda: extremal._tail_chunk(k, run))
+        assert calls == [0], (k, run)
+    assert _theta_f_calls(monkeypatch, lambda: beta_stars(2400, 2)) == [0]
 
 
 def test_f_bracket_matches_dense_grid_oracle():

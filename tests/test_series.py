@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import binary_power
+from zktheta import series
 from zktheta.errors import (
     GridViolation,
     NegativeExponent,
@@ -281,6 +284,68 @@ def test_mul_matches_naive_product(a, b):
     assert p.T == min(a.T, b.T)
     assert {Fraction(e, p.D): c for e, c in p.nonzero_terms()} == \
         _naive_product(a, b)
+
+
+def _convolution(x, y, ns):
+    """The first ns slots of the product of coefficient lists x and y, each
+    slot one sum over its index pairs."""
+    return [sum(x[i] * y[e - i]
+                for i in range(max(0, e - len(y) + 1), min(e + 1, len(x))))
+            for e in range(ns)]
+
+
+def _dense_coeffs(rnd, ns, fill):
+    """ns slots, fill of them nonzero at random places: signed ints of 3, 64
+    or 400 bits."""
+    out = [0] * ns
+    for e in rnd.sample(range(ns), fill):
+        bits = rnd.getrandbits(rnd.choice((3, 64, 400))) or 1
+        out[e] = rnd.choice((-1, 1)) * bits
+    return out
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two series on one grid D in {1, 4} whose window has ns slots on both
+    sides of series._GATE.  Each operand has ns // 2 nonzero slots (not more
+    than half: schoolbook), one more (Karatsuba when both are) or ns; one
+    has the window's truncation, on or just off the grid, and may drop its
+    trailing zeros, the other up to three slots more."""
+    rnd = draw(st.randoms(use_true_random=False))
+    D = draw(st.sampled_from([1, 4]))
+    g = series._GATE
+    ns = draw(st.sampled_from([g - 1, g, g + 1, g + 2, 2 * g + 1, 300]))
+    T = Fraction(2 * ns - draw(st.sampled_from([0, 1])), 2 * D)
+    fills = [draw(st.sampled_from([ns // 2, ns // 2 + 1, ns])) for _ in "ab"]
+    a = _dense_coeffs(rnd, ns, fills[0])
+    while a and not a[-1] and draw(st.booleans()):
+        a.pop()
+    extra = draw(st.integers(min_value=0, max_value=3))
+    b = _dense_coeffs(rnd, ns + extra, fills[1])
+    pair = [FracSeries(D, T, a), FracSeries(D, T + Fraction(extra, D), b)]
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_pairs())
+def test_mul_matches_convolution_dense(pair):
+    a, b = pair
+    p = mul(a, b)
+    ns = math.ceil(min(a.T, b.T) * a.D)
+    assert (p.D, p.T) == (a.D, min(a.T, b.T))
+    assert p.coeffs == _convolution(a.coeffs, b.coeffs, ns)
+
+
+def test_karatsuba_kernels_match_convolution():
+    # every length through two recursion levels past the base, some of the
+    # signed coefficients zero
+    rnd = random.Random(20)
+    for n in range(1, 4 * series._BASE + 4):
+        x, y = ([rnd.randint(-3, 3) * rnd.getrandbits(70) for _ in range(n)]
+                for _ in "xy")
+        want = _convolution(x, y, 2 * n - 1)
+        assert series._full(x, y) == want, n
+        assert series._short(x, y, n) == want[:n], n
 
 
 @settings(max_examples=150, deadline=None)
