@@ -13,13 +13,16 @@ b is one dot product, fed by one baby-step giant-step walker (_walk): the
 full b-list walks R * w^s, the tail b's of a run of lengths walk
 C_mu = theta1^(3mu) * B * h^(mu+1) times a factor per nu.  Powers of
 theta1 = f0^8 and h = P^(-24) are taken as powers of the lacunary f0 and
-Euler's P, and E4^2, E4^3 as products.  The putative extremal theta series is
-sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and its forced tail coefficients
-beta1 = beta*_{2(mu+1)}, beta2 = beta*_{2(mu+2)} decide existence.  The
-positivity certificate reads each window slot as one dot product; the
-Theorem 1 sweep keeps, per layer, the prefix of slots already certified
-and reads only past it, and beta1 > 0 off its head layer.  Everything here
-is exact integer arithmetic.
+Euler's P, and E4^2, E4^3 as products.  f0(t) = f0c(t^k) lives on t^(kZ),
+so every power of f0 and theta1 is kept as a series in u = t^k (_theta0): a
+product X * Z with such an X is one product per residue class of Z's
+exponents mod k (_coset_mul), and one slot of it is one strided dot.  The
+putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and
+its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 =
+beta*_{2(mu+2)} decide existence.  The positivity certificate reads each
+window slot as one strided dot; the Theorem 1 sweep keeps, per layer, the
+prefix of slots already certified and reads only past it, and beta1 > 0 off
+its head layer.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
                      OutOfTruncation, PrecisionTooSmall)
@@ -89,12 +91,42 @@ class PositivityReport(namedtuple(
 # public operations
 # ---------------------------------------------------------------------------
 
-def _coeff_of_product(x: FracSeries, y: FracSeries, e: int):
-    """[t^e] x*y on the integer grid, one exact dot product (x and y must be
-    kept through t^e: the callers raise OutOfTruncation)."""
-    ys = y.coeffs[:e + 1]
-    ys += [0] * (e + 1 - len(ys))
-    return sum(map(operator.mul, x.coeffs[:e + 1], reversed(ys)))
+def _coeff_of_product(xc: FracSeries, y: FracSeries, e: int, k: int = 1):
+    """[t^e] X*y on the integer grid, X(t) = xc(t^k): one exact dot product
+    of xc with y's slots e, e - k, e - 2k, ... (X and y must be kept through
+    t^e: the callers raise OutOfTruncation)."""
+    ys = y.coeffs
+    if len(ys) <= e:
+        ys = ys + [0] * (e + 1 - len(ys))
+    return sum(map(operator.mul, xc.coeffs, ys[e::-k]))
+
+
+def _coset_mul(xc: FracSeries, z: FracSeries, k: int) -> FracSeries:
+    """X*z on the integer grid, X(t) = xc(t^k), cut at min(k*T_xc, T_z).
+
+    Slot r + k*m of X*z is [u^m] xc * z_r with z_r(u) = sum_m z[r + k*m] u^m,
+    so the product is k products of about T/k slots, one per residue class
+    r of z's exponents mod k, each of which mul may take by Karatsuba.
+    """
+    if k == 1:
+        return mul(xc, z)
+    ns = min(k * xc.T, z.T)
+    out = [0] * ns
+    for r in range(min(k, ns)):
+        zr = FracSeries(1, len(range(r, ns, k)), z.coeffs[r:ns:k])
+        out[r::k] = mul(xc, zr).coeffs
+    return FracSeries(1, ns, out)
+
+
+def _theta0(k: int, T):
+    """(f0, f0c): f0 = theta_f(k, 0, T) on the 1/4k grid and f0c with
+    f0(t) = f0c(t^k) on the integer grid, cut at ceil(T/k).
+
+    f0 sums t^(x^2/4k) over x = 2ky, grid index 4k^2*y^2, so f0c =
+    1 + 2*sum_{y>=1} u^(y^2), Jacobi's theta3 for every k.
+    """
+    f0 = theta_f(k, 0, T)
+    return f0, FracSeries(1, -(-T // k), f0.coeffs[::4 * k * k])
 
 
 def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
@@ -116,9 +148,10 @@ def b_coefficients(n: int, k: int, extra: int = 0) -> list:
         raise ValueError("extra must be >= 0")
     j, mu, _ = shape(n)
     count = mu + extra + 1
-    f0, e4 = theta_f(k, 0, count).regrid(1), eisenstein_e4(count)
+    f0c, e4 = _theta0(k, count)[1], eisenstein_e4(count)
     w = mul(mul(mul(e4, e4), e4), h_series(count))
-    r = mul(mul(power(f0, 8 * (j - 1)), _theta_bracket(power(f0, 8), e4)),
+    r = mul(_coset_mul(power(f0c, 8 * (j - 1)),
+                       _theta_bracket(power(f0c, 8), e4, k), k),
             power(e4, -j - 1))
     walk = _walk(r, w, {0: [w]}, [(d, 0) for d in range(count - 1)])
     return [1] + [_b_at(g, x, j, s) for s, (g, [x]) in enumerate(walk, 1)]
@@ -150,6 +183,7 @@ def extremal_theta(n: int, k: int, T) -> FracSeries:
 
     Summed as E4^j * sum_s b_{2s} u^s with u = Delta * E4^(-3), by Horner.
     """
+    from fractions import Fraction
     j, mu, _ = shape(n)
     T = Fraction(T)
     if T <= mu + 2:
@@ -167,6 +201,7 @@ def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
 
     xs supplies the s+1 free lattice coordinates; positive whenever l < s+2.
     """
+    from fractions import Fraction
     xs = list(xs)
     if len(xs) != s + 1:
         raise ValueError(f"need s+1 = {s + 1} coordinates, got {len(xs)}")
@@ -179,11 +214,13 @@ def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
 # positivity certificate (Theorem 1.1 machinery)
 # ---------------------------------------------------------------------------
 
-def _theta_bracket(th1: FracSeries, e4: FracSeries) -> FracSeries:
+def _theta_bracket(th1c: FracSeries, e4: FracSeries, k: int) -> FracSeries:
     """t * (theta1 * E4' - theta1' * E4) on the integer grid (exact ints),
-    as theta1 * euler_scaled(E4) - euler_scaled(theta1) * E4."""
-    return linear_combine(mul(th1, euler_scaled(e4)),
-                          mul(euler_scaled(th1), e4), 1, -1)
+    theta1(t) = th1c(t^k), as theta1 * euler_scaled(E4) -
+    euler_scaled(theta1) * E4, where euler_scaled(theta1)(t) =
+    k * euler_scaled(th1c)(t^k)."""
+    return linear_combine(_coset_mul(th1c, euler_scaled(e4), k),
+                          _coset_mul(euler_scaled(th1c), e4, k), 1, -k)
 
 
 def _f_bracket(k: int, i: int, f0: FracSeries):
@@ -212,31 +249,32 @@ def _f_bracket(k: int, i: int, f0: FracSeries):
 
 
 def _certificate_factors(k: int, T):
-    """theta1 and (bracket, [(r_i, f0^7 * B_i) for i = 1..k]), all on t^Z.
+    """th1c and (bracket, [(r_i, f0^7 * B_i) for i = 1..k]), all on the
+    integer grid, theta1(t) = th1c(t^k).
 
     f0^(8j-1) = theta1^(j-1) * f0^7, so every certificate layer at n = 8j
     is theta1^(j-1) times the bracket or one of the f0^7 * B_i.  One f0
     gives them all, theta1 = f0^8 as in modforms.theta1.
     """
-    f0 = theta_f(k, 0, T)
-    f0z = f0.regrid(1)
-    th1, f07 = power(f0z, 8), power(f0z, 7)
+    f0, f0c = _theta0(k, T)
+    th1c, f07c = power(f0c, 8), power(f0c, 7)
     brks = [_f_bracket(k, i, f0) for i in range(1, k + 1)]
-    return th1, (_theta_bracket(th1, eisenstein_e4(T)),
-                 [(r, mul(f07, b)) for r, b in brks])
+    return th1c, (_theta_bracket(th1c, eisenstein_e4(T), k),
+                  [(r, _coset_mul(f07c, b, k)) for r, b in brks])
 
 
 def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
-    """(verdict, least coefficient, its exponent, head, held) of the window
-    slots, exponents through mu + 1, of th1pow = theta1^(j-1) times each
-    factor of cert (conditions: positivity_certificate), each slot one
-    _coeff_of_product.  held[0] (head layer) and held[i] (f-layer i) give the
-    last slot through which a layer is known to hold; only later slots are
-    read, and the new prefixes are returned.  The head layer comes first,
-    slots 1..mu+1 (slot 0 is B(0) = 0), each entering the least coefficient,
-    head true if it holds through mu + 1; then the f-layers i = 1..k, slot s
-    at exponent s + r/4k, only nonzero slots entering; the first minimum
-    wins.  held = [-1] * (k + 1) reads the whole window.
+    """(verdict, least coefficient, its exponent's index on the 1/4k grid,
+    head, held) of the window slots, exponents through mu + 1, of
+    theta1^(j-1) = th1pow(t^k) times each factor of cert (conditions:
+    positivity_certificate), each slot one strided _coeff_of_product.
+    held[0] (head layer) and held[i] (f-layer i) give the last slot through
+    which a layer is known to hold; only later slots are read, and the new
+    prefixes are returned.  The head layer comes first, slots 1..mu+1 (slot
+    0 is B(0) = 0), each entering the least coefficient, head true if it
+    holds through mu + 1; then the f-layers i = 1..k, slot s at exponent
+    s + r/4k (grid index 4k*s + r), only nonzero slots entering; the first
+    minimum wins.  held = [-1] * (k + 1) reads the whole window.
 
     The sweep passes the prefixes of a shorter length, with a lower power of
     theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its coefficients
@@ -245,18 +283,18 @@ def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
     such a run, so it still holds.
     """
     bracket, fparts = cert
-    if min(a.T for a in (th1pow, bracket, *(f for _, f in fparts))) <= mu + 1:
+    if min(k * th1pow.T, bracket.T, *(f.T for _, f in fparts)) <= mu + 1:
         raise OutOfTruncation(f"[t^{mu + 1}] needs truncation above {mu + 1}")
     D, min_c, min_e, out, ok = 4 * k, math.inf, None, [], True
     for i, (r, f) in enumerate([(0, bracket)] + fparts):
         h = held[i] if i else max(held[0], 0)
         top = mu + (r == 0)
         for s in range(h + 1, top + 1):
-            c = _coeff_of_product(th1pow, f, s)
+            c = _coeff_of_product(th1pow, f, s, k)
             if h == s - 1 and (c > 0 if not i or s == i * i // D else c >= 0):
                 h = s
             if (c or not i) and c < min_c:
-                min_c, min_e = c, Fraction(s * D + r, D)
+                min_c, min_e = c, s * D + r
         out.append(h)
         ok = ok and h >= top
     return ok, min_c, min_e, out[0] > mu, out
@@ -278,12 +316,13 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
         Exponents absent from the underlying lattice sum carry coefficient
         zero and do not fail the certificate.
     """
+    from fractions import Fraction
     j, mu, nu = shape(n)
-    th1, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e, _, _ = _verdict(power(th1, j - 1), cert, k,
+    th1c, cert = _certificate_factors(k, mu + 2)
+    ok, min_c, min_e, _, _ = _verdict(power(th1c, j - 1), cert, k,
                                       [-1] * (k + 1), mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
-                            min_exponent=min_e, verdict=ok)
+                            min_exponent=Fraction(min_e, 4 * k), verdict=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +396,10 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     They are [t^s] X * Z * h^s at s = mu+1, mu+2, with X = theta1^(j-1),
     Z1 = B * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run: each
     power of theta1 = f0^8 and h = P^(-24) comes from Miller's recurrence
-    over the lacunary f0 or P, and E4^2, E4^3 are products.  The route is
-    chosen by the run length.  A run of one length leaves only the two
-    X * Z products and the two dots dense.  A run of two or more walks
+    over the lacunary f0c on u = t^k or P, and E4^2, E4^3 are products.
+    The route is chosen by the run length.  A run of one length leaves only
+    the two X * Z products, k products each (one per residue class), and the
+    two dots dense.  A run of two or more walks
     C_mu = theta1^(3mu) * B * h^(mu+1) from the run's least mu0 by step
     theta1^3 * h, offset mu - mu0 and key nu: the b's are [t^(mu+1)] C_mu *
     Q_nu and [t^(mu+2)] C_mu * Q_nu * w, with w = E4^3 * h and the integral
@@ -368,23 +408,26 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 3
-    f0, e4 = theta_f(k, 0, T).regrid(1), eisenstein_e4(T)
-    bracket = _theta_bracket(power(f0, 8), e4)
+    f0c, e4 = _theta0(k, T)[1], eisenstein_e4(T)
+    bracket = _theta_bracket(power(f0c, 8), e4, k)
     e4s = [FracSeries.constant(1, T), *itertools.accumulate([e4] * 3, mul)]
     if len(ns_list) == 1:
         n = ns_list[0]
         j, mu, nu = shape(n)
-        x = power(f0, 8 * (j - 1))
+        x = power(f0c, 8 * (j - 1))
         z1 = mul(bracket, e4s[2 - nu])
         z2 = mul(z1, e4s[3])
-        return [(n, _b_at(mul(x, z1), h_series(T, mu + 1), j, mu + 1),
-                 _b_at(mul(x, z2), h_series(T, mu + 2), j, mu + 2))]
+        return [(n, _b_at(_coset_mul(x, z1, k), h_series(T, mu + 1), j,
+                          mu + 1),
+                 _b_at(_coset_mul(x, z2, k), h_series(T, mu + 2), j,
+                       mu + 2))]
     h = h_series(T)
-    w, step = mul(e4s[3], h), mul(power(f0, 24), h)
-    qs = {nu: mul(power(f0, 8 * (nu - 1)), e4s[2 - nu])
+    w, step = mul(e4s[3], h), _coset_mul(power(f0c, 24), h, k)
+    qs = {nu: _coset_mul(power(f0c, 8 * (nu - 1)), e4s[2 - nu], k)
           for nu in {n // 8 % 3 for n in ns_list}}
     mu0 = ns_list[0] // 24
-    opening = mul(mul(power(f0, 24 * mu0), h_series(T, mu0 + 1)), bracket)
+    opening = mul(_coset_mul(power(f0c, 24 * mu0), h_series(T, mu0 + 1), k),
+                  bracket)
     walk = _walk(opening, step,
                  {nu: [q, mul(q, w)] for nu, q in qs.items()},
                  [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
@@ -432,18 +475,18 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a factor fixed
     per run.  The window grows only with mu: once every layer holds at some
     mu, the other lengths of that mu read nothing, and a length that reads
-    steps theta1^(j-1) up by a cached theta1^d.  At s = mu + 1,
-    b_{2s} = -(j/s) * sum_{e=1..s} c_e * Y_(s-e) with c_e = [t^e]
-    theta1^(j-1) * B, c_0 = B(0) = 0, and Y = E4^(2-nu) * h^s, all of whose
-    coefficients are >= 1 like those of E4 and h.  So where the head layer
+    steps theta1^(j-1) up by a cached theta1^d, both kept on u = t^k.  At
+    s = mu + 1, b_{2s} = -(j/s) * sum_{e=1..s} c_e * Y_(s-e) with c_e =
+    [t^e] theta1^(j-1) * B, c_0 = B(0) = 0, and Y = E4^(2-nu) * h^s, all of
+    whose coefficients are >= 1 like those of E4 and h.  So where the head layer
     holds (c_e > 0, e = 1..s), beta1 = -b_{2s} > 0; only where it fails is
     beta1 computed, by beta_stars.
     """
     if not ns_list:
         return []
-    th1, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
+    th1c, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
     j0 = ns_list[0] // 8
-    th1pow, steps = power(th1, j0 - 1), {}
+    th1pow, steps = power(th1c, j0 - 1), {}
     rows, held, done = [], [-1] * (k + 1), None  # done: mu where all held
     for n in ns_list:
         j, mu, _ = shape(n)
@@ -452,7 +495,7 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
             continue
         if j > j0:
             if j - j0 not in steps:
-                steps[j - j0] = power(th1, j - j0)
+                steps[j - j0] = power(th1c, j - j0)
             th1pow, j0 = mul(th1pow, steps[j - j0]), j
         ok, _, _, head, held = _verdict(th1pow, cert, k, held, mu)
         done = mu if ok else None

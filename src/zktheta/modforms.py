@@ -10,7 +10,6 @@ come from Euler's pentagonal series P = prod (1 - t^m).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import IndexOutOfRange, InvalidModulus
 from .series import FracSeries, power
@@ -34,7 +33,6 @@ def sigma3(m: int) -> int:
 
 def eisenstein_e4(T) -> FracSeries:
     """E4 = 1 + 240 * sum_{m>=1} sigma3(m) t^m on the integer grid."""
-    T = Fraction(T)
     terms = {0: 1}
     m = 1
     while m < T:
@@ -81,7 +79,6 @@ def theta_f(k: int, i: int, T) -> FracSeries:
         raise InvalidModulus(f"k must be >= 1, got {k}")
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"theta index {i} outside 0..{k}")
-    T = Fraction(T)
     D = 4 * k
     residues = {i % (2 * k), (2 * k - i) % (2 * k)}
     weight = 2 if i == 0 or i == k else 1

@@ -2,12 +2,13 @@
 
 A :class:`FracSeries` stores coefficients of t^(e/D) for integer e >= 0 on a
 dense grid, with everything below an explicit truncation T kept exactly.
-Coefficients are exact Python ints and no floating point enters anywhere;
-a result that is not integral (see ``power``, ``differentiate``) raises
-ArithmeticError.  A product of two long dense operands is a Karatsuba short
-product on the coefficient lists; every other product walks nonzero pairs
-only, so stored zeros cost no arithmetic.  Miller's recurrence gives every
-integer power.
+An integral T stays an int; ``fractions`` is imported only where an
+exponent is really fractional.  Coefficients are exact Python ints and no
+floating point enters anywhere; a result that is not integral (see
+``power``, ``differentiate``) raises ArithmeticError.  A product of two
+long dense operands is a Karatsuba short product on the coefficient lists;
+every other product walks nonzero pairs only, so stored zeros cost no
+arithmetic.  Miller's recurrence gives every integer power.
 
 The variable t is q^2 throughout the package.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .errors import (
     GridViolation,
@@ -26,12 +26,18 @@ from .errors import (
 )
 
 
-def _slots(D: int, T: Fraction) -> int:
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if isinstance(x, int):
+        return x
+    from fractions import Fraction
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _slots(D: int, T) -> int:
     """Number of stored grid indices: all e with e/D < T."""
-    td = T * D
-    if td.denominator == 1:
-        return max(td.numerator, 0)
-    return max(math.ceil(td), 0)
+    return max(math.ceil(T * D), 0)
 
 
 class FracSeries:
@@ -46,7 +52,7 @@ class FracSeries:
     def __init__(self, D: int, T, coeffs):
         if D < 1:
             raise ValueError("grid denominator must be >= 1")
-        T = Fraction(T)
+        T = _exact(T)
         if T <= 0:
             raise ValueError("truncation must be positive")
         ns = _slots(D, T)
@@ -61,7 +67,7 @@ class FracSeries:
     @classmethod
     def from_terms(cls, D: int, T, terms) -> "FracSeries":
         """Build from {grid_index: coefficient} (indices on the e grid)."""
-        T = Fraction(T)
+        T = _exact(T)
         ns = _slots(D, T)
         coeffs = [0] * ns
         for e, c in terms.items():
@@ -76,6 +82,7 @@ class FracSeries:
     @classmethod
     def monomial(cls, coeff, exponent, T, D: int = 1) -> "FracSeries":
         """coeff * t^exponent; exponent must land on the e/D grid."""
+        from fractions import Fraction
         exponent = Fraction(exponent)
         e = exponent * D
         if e.denominator != 1 or e < 0:
@@ -92,6 +99,7 @@ class FracSeries:
 
     def coeff_at(self, exponent):
         """Exact coefficient of t^exponent; 0 for off-grid exponents < T."""
+        from fractions import Fraction
         exponent = Fraction(exponent)
         if exponent >= self.T:
             raise OutOfTruncation(f"exponent {exponent} >= truncation {self.T}")
@@ -121,6 +129,7 @@ class FracSeries:
         for e, c in self.nonzero_terms():
             e2, off = divmod(e * D2, self.D)
             if off:
+                from fractions import Fraction
                 raise GridViolation(
                     f"coefficient at t^{Fraction(e, self.D)} off grid 1/{D2}"
                 )
@@ -344,6 +353,7 @@ def differentiate(a: FracSeries) -> FracSeries:
     D = a.D
     T2 = a.T - 1
     if T2 <= 0:
+        from fractions import Fraction
         T2 = Fraction(1, D)  # keep a valid (empty-able) window
     ns = _slots(D, T2)
     out = [0] * ns
@@ -351,6 +361,7 @@ def differentiate(a: FracSeries) -> FracSeries:
         if e == 0:
             continue
         if e < D:
+            from fractions import Fraction
             raise NegativeExponent(
                 f"term t^{Fraction(e, D)} differentiates below t^0"
             )

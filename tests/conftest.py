@@ -55,6 +55,18 @@ def binary_power(a, m: int):
     return result
 
 
+def dense_theta_bracket(th1, e4):
+    """t * (theta1 * E4' - theta1' * E4) from a theta1 stored on every slot
+    of the integer grid, by plain products.
+
+    Oracle for extremal._theta_bracket, which keeps theta1 on t^k.
+    """
+    from zktheta.series import euler_scaled, linear_combine, mul
+
+    return linear_combine(mul(th1, euler_scaled(e4)),
+                          mul(euler_scaled(th1), e4), 1, -1)
+
+
 def matching_b_list(n: int, k: int, extra: int):
     """b_{2s} for s = 0..mu+extra by coefficient matching.
 
@@ -168,7 +180,6 @@ def uncancelled_g_ratio(t0):
     import mpmath as mp
 
     from zktheta.asymptotics import eval_series
-    from zktheta.extremal import _theta_bracket
     from zktheta.modforms import eisenstein_e4, h_series, theta1
     from zktheta.series import mul, power
 
@@ -178,7 +189,7 @@ def uncancelled_g_ratio(t0):
         for T in (160, 320, 640):
             # the bracket carries a factor t, which cancels in the ratio
             th1, e4 = theta1(1, T), eisenstein_e4(T)
-            core = mul(mul(power(th1, j - 1), _theta_bracket(th1, e4)),
+            core = mul(mul(power(th1, j - 1), dense_theta_bracket(th1, e4)),
                        h_series(T))
             ratio = (eval_series(mul(power(e4, 5), core), t0)
                      / eval_series(mul(power(e4, 2), core), t0))
@@ -201,14 +212,13 @@ def padded_certificate(n: int, k: int):
     """
     from fractions import Fraction
 
-    from zktheta.extremal import _theta_bracket
     from zktheta.modforms import eisenstein_e4, theta1, theta_f
     from zktheta.series import euler_scaled, linear_combine, mul
 
     j, mu = n // 8, n // 24
     T, D = mu + 2, 4 * k
     th1 = theta1(k, T)
-    bracket = _theta_bracket(th1, eisenstein_e4(T))
+    bracket = dense_theta_bracket(th1, eisenstein_e4(T))
     s1 = mul(binary_power(th1, j - 1), bracket)
     head = [s1.coeff_index(e) for e in range(1, mu + 2)]
     min_c = min(head)

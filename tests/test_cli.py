@@ -285,6 +285,28 @@ def test_subcommands_import_only_their_layers():
     assert proc.stdout == repr(([], True))
 
 
+NO_FRACTIONS = """
+import io, sys
+from zktheta import cli
+sys.stdout = io.StringIO()
+for argv in (["e4", "--terms", "5"], ["extremal", "--n", "2400", "--k", "1"],
+             ["crossover", "--k", "1", "--from", "24", "--to", "48"],
+             ["theorem1", "--k", "6", "--nmax", "240"]):
+    assert cli.run(argv) == 0, argv
+sys.__stdout__.write(repr("fractions" in sys.modules))
+"""
+
+
+def test_integral_answers_import_no_fractions():
+    # integral truncations stay ints, so answers whose exponents are all
+    # integers never load fractions (nor decimal and numbers under it)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", NO_FRACTIONS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False"
+
+
 SADDLE_FOOTPRINT = """
 import io, sys
 from zktheta import cli

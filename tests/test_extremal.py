@@ -258,6 +258,56 @@ def test_f_bracket_matches_dense_grid_oracle():
                     (want_r, want.D, want.T, want.coeffs), (k, i, T)
 
 
+def _expand(xc, k):
+    """X with X(t) = xc(t^k), every slot of the integer grid stored."""
+    out = [0] * (k * len(xc.coeffs))
+    out[::k] = xc.coeffs
+    return FracSeries(1, k * xc.T, out)
+
+
+def test_theta0_is_f0_on_its_coset():
+    # f0(t) = f0c(t^k), and f0c is Jacobi's theta3 whatever k is
+    for k in range(1, 7):
+        for T in (1, 2, 7, 30):
+            f0, f0c = extremal._theta0(k, T)
+            assert f0c.T == -(-T // k)
+            assert _expand(f0c, k).coeffs[:T] == f0.regrid(1).coeffs
+            assert f0c.coeffs == theta_f(1, 0, f0c.T).regrid(1).coeffs
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_coset_product_and_strided_dot_match_expanded(monkeypatch, k):
+    # X(t) = xc(t^k) times a dense z against mul and the plain dot on the
+    # expanded X.  The windows put ns/k below and above the Karatsuba gate
+    # of 128 slots, with ns off a multiple of k, and xc cut at, past and
+    # short of ceil(ns/k); each residue class clears the gate on its own
+    from zktheta import series
+    real_short, shorts = series._short, []
+
+    def short(x, y, n):
+        shorts.append(n)
+        return real_short(x, y, n)
+
+    rng = random.Random(k)
+    for ns in (60 * k + k // 2, 200 * k + k - 1):
+        z = FracSeries(1, ns, [rng.randint(-10 ** 6, 10 ** 6)
+                               for _ in range(ns)])
+        for tx in (-(-ns // k), -(-ns // k) + 3, ns // k - 2):
+            xc = FracSeries(1, tx, [rng.randint(-10 ** 6, 10 ** 6)
+                                    for _ in range(tx)])
+            want = mul(_expand(xc, k), z)
+            monkeypatch.setattr(series, "_short", short)
+            got = extremal._coset_mul(xc, z, k)
+            monkeypatch.undo()
+            assert (got.T, got.coeffs) == (want.T, want.coeffs), (ns, tx)
+            assert bool(shorts) == (ns // k > 128), (ns, tx)
+            shorts.clear()
+            for e in [*range(0, len(want.coeffs), 7), len(want.coeffs) - 1]:
+                dot = extremal._coeff_of_product(xc, z, e, k)
+                assert dot == want.coeffs[e] == \
+                    extremal._coeff_of_product(_expand(xc, k), z, e), e
+
+
 def _hand_layers(mu, edit=None, k=4, T=None):
     """_verdict's arguments for hand-built positive layers cut at T
     (default mu + 2), with theta1^(j-1) = 1.
@@ -281,8 +331,11 @@ def _hand_layers(mu, edit=None, k=4, T=None):
 
 
 def _hand_verdict(*args, **kwargs):
-    """(verdict, least coefficient, its exponent) of _hand_layers."""
-    return _verdict(*_hand_layers(*args, **kwargs))[:3]
+    """(verdict, least coefficient, its exponent) of _hand_layers; _verdict
+    gives the exponent as its index on the 1/4k grid."""
+    layers = _hand_layers(*args, **kwargs)
+    ok, min_c, min_e = _verdict(*layers)[:3]
+    return ok, min_c, Fraction(min_e, 4 * layers[2])
 
 
 def test_verdict_reports_head_layer():
@@ -687,9 +740,9 @@ def _spy_reads(monkeypatch):
     real_dot, real_mul, real_row = extremal._coeff_of_product, \
         extremal.mul, extremal.Theorem1Row
 
-    def dot(x, y, e):
+    def dot(x, y, e, k):
         log.append(("dot", y, e))
-        return real_dot(x, y, e)
+        return real_dot(x, y, e, k)
 
     def mul(a, b):
         log.append(("mul",))

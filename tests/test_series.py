@@ -178,6 +178,19 @@ def test_init_copies_its_list():
     assert a.coeffs == [1, 0, -3]
 
 
+def test_integral_truncation_is_an_int():
+    # an integral T is kept as an int, a fractional one as a Fraction
+    for T in (3, Fraction(6, 2), 3.0, "3"):
+        a = FracSeries(4, T, [])
+        assert type(a.T) is int and a.T == 3, T
+        assert len(FracSeries.constant(1, T, 4).coeffs) == 12
+    for T in (Fraction(7, 2), 3.5, "7/2"):
+        a = FracSeries.constant(1, T, 4)
+        assert a.T == Fraction(7, 2) and len(a.coeffs) == 14, T
+    assert type(mul(poly(1, 2), poly(3, 4, 5)).T) is int
+    assert differentiate(FracSeries(2, 1, [1, 0])).T == Fraction(1, 2)
+
+
 def test_pipeline_builds_only_int_coefficients(monkeypatch):
     """Every series the production paths build holds ints only."""
     from zktheta.codes import search_c8, theta_substitution
