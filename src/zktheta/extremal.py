@@ -2,16 +2,17 @@
 
 The chain is: theta0 = theta1^j is the theta series of the sublattice
 sqrt(2k)*Z^n inside the Construction A lattice; b_{2s} are the coefficients
-of phi = E4^{-j} * theta0 expanded in powers of u = Delta / E4^3.  With the
-bracket B = t*(theta1*E4' - theta1'*E4) and w = t/u = E4^3 * h,
-t*phi' = -j * theta1^(j-1) * E4^(-j-1) * B, so Lagrange-Buermann gives
+of phi = E4^{-j} * theta0 expanded in powers of u = Delta / E4^3.  With
+w = t/u = E4^3 * h = t*J (J the modular invariant), Lagrange-Buermann
+gives [u^s] phi = [t^s] phi * w^s * (1 - t*w'/w), and Ramanujan's
+t*J' = -J * E6/E4 makes 1 - t*w'/w = E6/E4, so
 
-    b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s   (s >= 1)
+    b_{2s} = [t^s] theta1^j * E6 * E4^(3s-j-1) * h^s
 
-and b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
+with b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
 b is one dot product, fed by one baby-step giant-step walker (_walk): the
 full b-list walks R * w^s, the tail b's of a run of lengths walk
-C_mu = theta1^(3mu) * B * h^(mu+1) times a factor per nu.  Powers of
+C_mu = theta1^(3mu) * E6 * h^(mu+1) times a factor per nu.  Powers of
 theta1 = f0^8 and h = P^(-24) are taken as powers of the lacunary f0 and
 Euler's P, and E4^2, E4^3 as products.  f0(t) = f0c(t^k) lives on t^(kZ),
 so every power of f0 and theta1 is kept as a series in u = t^k (_theta0): a
@@ -22,7 +23,8 @@ its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 =
 beta*_{2(mu+2)} decide existence.  The positivity certificate reads each
 window slot as one strided dot; the Theorem 1 sweep keeps, per layer, the
 prefix of slots already certified and reads only past it, and beta1 > 0 off
-its head layer.  Everything here is exact integer arithmetic.
+its head layer, by the equal bracket form of b_{2(mu+1)} (_theorem1_chunk).
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from collections import namedtuple
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
                      OutOfTruncation, PrecisionTooSmall)
-from .modforms import delta24, eisenstein_e4, h_series, theta_f
+from .modforms import (delta24, eisenstein_e4, eisenstein_e6, h_series,
+                       theta_terms)
 from .series import (
     FracSeries,
     euler_scaled,
@@ -106,7 +109,8 @@ def _coset_mul(xc: FracSeries, z: FracSeries, k: int) -> FracSeries:
 
     Slot r + k*m of X*z is [u^m] xc * z_r with z_r(u) = sum_m z[r + k*m] u^m,
     so the product is k products of about T/k slots, one per residue class
-    r of z's exponents mod k, each of which mul may take by Karatsuba.
+    r of z's exponents mod k, each of which mul may take by Kronecker or
+    Karatsuba.
     """
     if k == 1:
         return mul(xc, z)
@@ -118,43 +122,40 @@ def _coset_mul(xc: FracSeries, z: FracSeries, k: int) -> FracSeries:
     return FracSeries(1, ns, out)
 
 
-def _theta0(k: int, T):
-    """(f0, f0c): f0 = theta_f(k, 0, T) on the 1/4k grid and f0c with
-    f0(t) = f0c(t^k) on the integer grid, cut at ceil(T/k).
+def _theta0(k: int, T) -> FracSeries:
+    """f0c with f0(t) = f0c(t^k) on the integer grid, cut at ceil(T/k), for
+    f0 = theta_f(k, 0, T).
 
     f0 sums t^(x^2/4k) over x = 2ky, grid index 4k^2*y^2, so f0c =
     1 + 2*sum_{y>=1} u^(y^2), Jacobi's theta3 for every k.
     """
-    f0 = theta_f(k, 0, T)
-    return f0, FracSeries(1, -(-T // k), f0.coeffs[::4 * k * k])
+    terms = theta_terms(k, 0, T)  # raises InvalidModulus before T // k
+    return FracSeries.from_terms(1, -(-T // k),
+                                 {x2 // (4 * k * k): c for x2, c in terms})
 
 
-def _b_at(x: FracSeries, y: FracSeries, j: int, s: int) -> int:
-    """b_{2s} = -(j/s) * [t^s] x*y, an exact division (else ArithmeticError)."""
+def _b_at(x: FracSeries, y: FracSeries, s: int) -> int:
+    """b_{2s} = [t^s] x*y."""
     if min(x.T, y.T) <= s:
         raise OutOfTruncation(f"[t^{s}] needs truncation above {s}")
-    b, rem = divmod(-j * _coeff_of_product(x, y, s), s)
-    if rem:
-        raise ArithmeticError(f"non-integral b at s={s}")
-    return b
+    return _coeff_of_product(x, y, s)
 
 
 def b_coefficients(n: int, k: int, extra: int = 0) -> list:
-    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann: _b_at(R * w^s, 1)
-    with R = theta1^(j-1) * B * E4^(-j-1), theta1^(j-1) = f0^(8(j-1)),
-    walked as giant R, step w and the one factor w at offset s - 1."""
+    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann: _b_at(R * w^s, s)
+    with R = theta1^j * E6 * E4^(-j-1), theta1^j = f0^(8j), walked as giant
+    R, step w and the one factor w at offset s - 1."""
     _check_length(n)
     if extra < 0:
         raise ValueError("extra must be >= 0")
     j, mu, _ = shape(n)
     count = mu + extra + 1
-    f0c, e4 = _theta0(k, count)[1], eisenstein_e4(count)
+    f0c, e4 = _theta0(k, count), eisenstein_e4(count)
     w = mul(mul(mul(e4, e4), e4), h_series(count))
-    r = mul(_coset_mul(power(f0c, 8 * (j - 1)),
-                       _theta_bracket(power(f0c, 8), e4, k), k),
+    r = mul(_coset_mul(power(f0c, 8 * j), eisenstein_e6(count), k),
             power(e4, -j - 1))
     walk = _walk(r, w, {0: [w]}, [(d, 0) for d in range(count - 1)])
-    return [1] + [_b_at(g, x, j, s) for s, (g, [x]) in enumerate(walk, 1)]
+    return [1] + [_b_at(g, x, s) for s, (g, [x]) in enumerate(walk, 1)]
 
 
 def beta_stars(n: int, k: int):
@@ -223,21 +224,22 @@ def _theta_bracket(th1c: FracSeries, e4: FracSeries, k: int) -> FracSeries:
                           _coset_mul(euler_scaled(th1c), e4, k), 1, -k)
 
 
-def _f_bracket(k: int, i: int, f0: FracSeries):
-    """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B, for
-    f0 = theta_f(k, 0, T) and f_i built here at the same T.
+def _f_bracket(k: int, i: int, f0c: FracSeries, T: int):
+    """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B, cut at
+    T, for f0(t) = f0c(t^k) and f_i = theta_f(k, i, T).
 
     f0 lives on t^Z and f_i on the coset i^2/4k + Z, so the bracket sits on
-    that coset too, r = i^2 mod 4k.  It is summed from lattice terms: each
-    pair c0 * t^(x^2/4k) of f0 and ci * t^(y^2/4k) of f_i adds
-    c0 * ci * (y^2 - x^2) to slot (x^2 + y^2 - r)/4k of B, an integer-grid
-    series of exact ints.  A pair off the coset raises GridViolation.
+    that coset too, r = i^2 mod 4k.  It is summed from lattice terms: f0's
+    from f0c, f_i's from theta_terms.  Each pair c0 * t^(x^2/4k) of f0 and
+    ci * t^(y^2/4k) of f_i adds c0 * ci * (y^2 - x^2) to slot
+    (x^2 + y^2 - r)/4k of B, an integer-grid series of exact ints.  A pair
+    off the coset raises GridViolation.
     """
     D = 4 * k
-    r, fi = i * i % D, theta_f(k, i, f0.T)
-    ns, yterms = len(f0.coeffs), fi.nonzero_terms()
+    r, ns, yterms = i * i % D, D * T, theta_terms(k, i, T)
     out = [0] * len(range(r, ns, D))
-    for x2, c0 in f0.nonzero_terms():
+    for m, c0 in f0c.nonzero_terms():
+        x2 = D * k * m
         for y2, ci in yterms:
             if x2 + y2 >= ns:
                 break
@@ -245,7 +247,7 @@ def _f_bracket(k: int, i: int, f0: FracSeries):
                 raise GridViolation(
                     f"f-bracket k={k}, i={i} off the coset {r}/{D} + Z")
             out[(x2 + y2) // D] += c0 * ci * (y2 - x2)
-    return r, FracSeries(1, f0.T, out)
+    return r, FracSeries(1, T, out)
 
 
 def _certificate_factors(k: int, T):
@@ -256,9 +258,9 @@ def _certificate_factors(k: int, T):
     is theta1^(j-1) times the bracket or one of the f0^7 * B_i.  One f0
     gives them all, theta1 = f0^8 as in modforms.theta1.
     """
-    f0, f0c = _theta0(k, T)
+    f0c = _theta0(k, T)
     th1c, f07c = power(f0c, 8), power(f0c, 7)
-    brks = [_f_bracket(k, i, f0) for i in range(1, k + 1)]
+    brks = [_f_bracket(k, i, f0c, T) for i in range(1, k + 1)]
     return th1c, (_theta_bracket(th1c, eisenstein_e4(T), k),
                   [(r, _coset_mul(f07c, b, k)) for r, b in brks])
 
@@ -375,8 +377,8 @@ def _walk(giant: FracSeries, step: FracSeries, factors: dict, keyed: list):
     stepped up by step^m and babies[i] = step^r * factors[key][i].  Over a
     span of S values of d and f factors that is about S/m giant and
     f*(m - 1) baby products; a giant costs about two babies (2.2-2.3 at
-    the scan's 236-slot window, Karatsuba for both), so m = isqrt(2*S // f),
-    at least 1.
+    the scan's 236-slot window, where the giants take Karatsuba and the
+    babies Kronecker or Karatsuba), so m = isqrt(2*S // f), at least 1.
     """
     span = keyed[-1][0] + 1 if keyed else 0
     m = max(1, math.isqrt(2 * span // sum(map(len, factors.values()))))
@@ -393,46 +395,42 @@ def _walk(giant: FracSeries, step: FracSeries, factors: dict, keyed: list):
 def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
-    They are [t^s] X * Z * h^s at s = mu+1, mu+2, with X = theta1^(j-1),
-    Z1 = B * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run: each
+    They are [t^s] X * Z * h^s at s = mu+1, mu+2, with X = theta1^j,
+    Z1 = E6 * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run: each
     power of theta1 = f0^8 and h = P^(-24) comes from Miller's recurrence
     over the lacunary f0c on u = t^k or P, and E4^2, E4^3 are products.
     The route is chosen by the run length.  A run of one length leaves only
     the two X * Z products, k products each (one per residue class), and the
     two dots dense.  A run of two or more walks
-    C_mu = theta1^(3mu) * B * h^(mu+1) from the run's least mu0 by step
+    C_mu = theta1^(3mu) * E6 * h^(mu+1) from the run's least mu0 by step
     theta1^3 * h, offset mu - mu0 and key nu: the b's are [t^(mu+1)] C_mu *
-    Q_nu and [t^(mu+2)] C_mu * Q_nu * w, with w = E4^3 * h and the integral
-    Q_nu = theta1^(nu-1) * E4^(2-nu) (theta1(0) = 1).
+    Q_nu and [t^(mu+2)] C_mu * Q_nu * w, with w = E4^3 * h and
+    Q_nu = theta1^nu * E4^(2-nu).
     """
     if not ns_list:
         return []
     T = ns_list[-1] // 24 + 3
-    f0c, e4 = _theta0(k, T)[1], eisenstein_e4(T)
-    bracket = _theta_bracket(power(f0c, 8), e4, k)
+    f0c, e4, e6 = _theta0(k, T), eisenstein_e4(T), eisenstein_e6(T)
     e4s = [FracSeries.constant(1, T), *itertools.accumulate([e4] * 3, mul)]
     if len(ns_list) == 1:
         n = ns_list[0]
         j, mu, nu = shape(n)
-        x = power(f0c, 8 * (j - 1))
-        z1 = mul(bracket, e4s[2 - nu])
+        x = power(f0c, 8 * j)
+        z1 = mul(e6, e4s[2 - nu])
         z2 = mul(z1, e4s[3])
-        return [(n, _b_at(_coset_mul(x, z1, k), h_series(T, mu + 1), j,
-                          mu + 1),
-                 _b_at(_coset_mul(x, z2, k), h_series(T, mu + 2), j,
-                       mu + 2))]
+        return [(n, _b_at(_coset_mul(x, z1, k), h_series(T, mu + 1), mu + 1),
+                 _b_at(_coset_mul(x, z2, k), h_series(T, mu + 2), mu + 2))]
     h = h_series(T)
     w, step = mul(e4s[3], h), _coset_mul(power(f0c, 24), h, k)
-    qs = {nu: _coset_mul(power(f0c, 8 * (nu - 1)), e4s[2 - nu], k)
+    qs = {nu: _coset_mul(power(f0c, 8 * nu), e4s[2 - nu], k)
           for nu in {n // 8 % 3 for n in ns_list}}
     mu0 = ns_list[0] // 24
     opening = mul(_coset_mul(power(f0c, 24 * mu0), h_series(T, mu0 + 1), k),
-                  bracket)
+                  e6)
     walk = _walk(opening, step,
                  {nu: [q, mul(q, w)] for nu, q in qs.items()},
                  [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
-    return [(n, _b_at(g, q, n // 8, n // 24 + 1),
-             _b_at(g, qw, n // 8, n // 24 + 2))
+    return [(n, _b_at(g, q, n // 24 + 1), _b_at(g, qw, n // 24 + 2))
             for n, (g, (q, qw)) in zip(ns_list, walk)]
 
 
@@ -475,12 +473,14 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a factor fixed
     per run.  The window grows only with mu: once every layer holds at some
     mu, the other lengths of that mu read nothing, and a length that reads
-    steps theta1^(j-1) up by a cached theta1^d, both kept on u = t^k.  At
-    s = mu + 1, b_{2s} = -(j/s) * sum_{e=1..s} c_e * Y_(s-e) with c_e =
-    [t^e] theta1^(j-1) * B, c_0 = B(0) = 0, and Y = E4^(2-nu) * h^s, all of
-    whose coefficients are >= 1 like those of E4 and h.  So where the head layer
-    holds (c_e > 0, e = 1..s), beta1 = -b_{2s} > 0; only where it fails is
-    beta1 computed, by beta_stars.
+    steps theta1^(j-1) up by a cached theta1^d, both kept on u = t^k.  The
+    E6 form of the module docstring equals the bracket form: with the
+    bracket B = t*(theta1*E4' - theta1'*E4), t*phi' = -j * theta1^(j-1) *
+    E4^(-j-1) * B, so at s = mu + 1, b_{2s} = -(j/s) * sum_{e=1..s} c_e *
+    Y_(s-e) with c_e = [t^e] theta1^(j-1) * B, c_0 = B(0) = 0, and
+    Y = E4^(2-nu) * h^s, all of whose coefficients are >= 1 like those of
+    E4 and h.  So where the head layer holds (c_e > 0, e = 1..s), beta1 =
+    -b_{2s} > 0; only where it fails is beta1 computed, by beta_stars.
     """
     if not ns_list:
         return []

@@ -19,26 +19,29 @@ def sigma3(m: int) -> int:
     """Divisor function sigma_3(m) = sum of d^3 over divisors d of m."""
     if m < 1:
         raise ValueError("sigma3 needs m >= 1")
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            total += d ** 3
-            q = m // d
-            if q != d:
-                total += q ** 3
-        d += 1
-    return total
+    return eisenstein_e4(m + 1).coeffs[m] // 240
+
+
+def _eisenstein(T, c: int, p: int) -> FracSeries:
+    """1 + c * sum_{m>=1} sigma_p(m) t^m on the integer grid, the divisor
+    sums sieved: each d adds c * d^p to every multiple of d."""
+    n = math.ceil(T)
+    coeffs = [1] + [0] * (n - 1)
+    for d in range(1, n):
+        cd = c * d ** p
+        for m in range(d, n, d):
+            coeffs[m] += cd
+    return FracSeries(1, T, coeffs)
 
 
 def eisenstein_e4(T) -> FracSeries:
     """E4 = 1 + 240 * sum_{m>=1} sigma3(m) t^m on the integer grid."""
-    terms = {0: 1}
-    m = 1
-    while m < T:
-        terms[m] = 240 * sigma3(m)
-        m += 1
-    return FracSeries.from_terms(1, T, terms)
+    return _eisenstein(T, 240, 3)
+
+
+def eisenstein_e6(T) -> FracSeries:
+    """E6 = 1 - 504 * sum_{m>=1} sigma5(m) t^m on the integer grid."""
+    return _eisenstein(T, -504, 5)
 
 
 def _euler(T) -> FracSeries:
@@ -64,6 +67,22 @@ def h_series(T, s: int = 1) -> FracSeries:
     return power(_euler(T), -24 * s)
 
 
+def theta_terms(k: int, i: int, T) -> list:
+    """The support of f_i = theta_f(k, i, T) as (grid index, coefficient)
+    pairs, ascending, read off the lattice: x^2 for x >= 1 with
+    x = +-i mod 2k and x^2 < 4k*T, plus (0, 1) for i = 0."""
+    if k < 1:
+        raise InvalidModulus(f"k must be >= 1, got {k}")
+    if not 0 <= i <= k:
+        raise IndexOutOfRange(f"theta index {i} outside 0..{k}")
+    residues = {i % (2 * k), (2 * k - i) % (2 * k)}
+    weight = 2 if i == 0 or i == k else 1
+    top = math.isqrt(math.ceil(T * 4 * k) - 1)  # x * x < T * 4k, in ints
+    terms = [(0, 1)] if i == 0 else []
+    return terms + [(x * x, weight) for x in range(1, top + 1)
+                    if x % (2 * k) in residues]
+
+
 def theta_f(k: int, i: int, T) -> FracSeries:
     """Theta function of the residue class 2kZ + i, on grid 1/(4k).
 
@@ -75,20 +94,7 @@ def theta_f(k: int, i: int, T) -> FracSeries:
     which share the same series).  This single-class normalization is the
     one that makes swe_C8(f_0, ..., f_k) = E4 come out exactly.
     """
-    if k < 1:
-        raise InvalidModulus(f"k must be >= 1, got {k}")
-    if not 0 <= i <= k:
-        raise IndexOutOfRange(f"theta index {i} outside 0..{k}")
-    D = 4 * k
-    residues = {i % (2 * k), (2 * k - i) % (2 * k)}
-    weight = 2 if i == 0 or i == k else 1
-    terms = {0: 1} if i == 0 else {}
-    x, top = 1, math.ceil(T * D)  # x * x < T * D, in ints
-    while x * x < top:
-        if x % (2 * k) in residues:
-            terms[x * x] = weight
-        x += 1
-    return FracSeries.from_terms(D, T, terms)
+    return FracSeries.from_terms(4 * k, T, dict(theta_terms(k, i, T)))
 
 
 def theta1(k: int, T) -> FracSeries:

@@ -5,8 +5,9 @@ dense grid, with everything below an explicit truncation T kept exactly.
 An integral T stays an int; ``fractions`` is imported only where an
 exponent is really fractional.  Coefficients are exact Python ints and no
 floating point enters anywhere; a result that is not integral (see
-``power``, ``differentiate``) raises ArithmeticError.  A product of two
-long dense operands is a Karatsuba short product on the coefficient lists;
+``power``, ``differentiate``) raises ArithmeticError.  A product of dense
+operands is one multiply of packed ints (Kronecker substitution) or, for
+wide coefficients, a Karatsuba short product on the coefficient lists;
 every other product walks nonzero pairs only, so stored zeros cost no
 arithmetic.  Miller's recurrence gives every integer power.
 
@@ -21,7 +22,6 @@ import operator
 from .errors import (
     GridViolation,
     NegativeExponent,
-    OutOfTruncation,
     ZeroConstantTerm,
 )
 
@@ -79,16 +79,6 @@ class FracSeries:
     def constant(cls, value, T, D: int = 1) -> "FracSeries":
         return cls.from_terms(D, T, {0: value})
 
-    @classmethod
-    def monomial(cls, coeff, exponent, T, D: int = 1) -> "FracSeries":
-        """coeff * t^exponent; exponent must land on the e/D grid."""
-        from fractions import Fraction
-        exponent = Fraction(exponent)
-        e = exponent * D
-        if e.denominator != 1 or e < 0:
-            raise GridViolation(f"exponent {exponent} not on grid 1/{D}")
-        return cls.from_terms(D, T, {e.numerator: coeff})
-
     # -- basic queries -----------------------------------------------------
 
     def coeff_index(self, e: int):
@@ -96,17 +86,6 @@ class FracSeries:
         if 0 <= e < len(self.coeffs):
             return self.coeffs[e]
         return 0
-
-    def coeff_at(self, exponent):
-        """Exact coefficient of t^exponent; 0 for off-grid exponents < T."""
-        from fractions import Fraction
-        exponent = Fraction(exponent)
-        if exponent >= self.T:
-            raise OutOfTruncation(f"exponent {exponent} >= truncation {self.T}")
-        e = exponent * self.D
-        if e.denominator != 1 or e < 0:
-            return 0
-        return self.coeff_index(e.numerator)
 
     def nonzero_terms(self):
         """List of (grid_index, coefficient) with coefficient != 0."""
@@ -222,34 +201,49 @@ def linear_combine(a: FracSeries, b: FracSeries, alpha, beta) -> FracSeries:
 def mul(a: FracSeries, b: FracSeries) -> FracSeries:
     """Exact Cauchy product truncated at min(T_a, T_b).
 
-    Two products, chosen from the operands.  A window of more than _GATE
-    slots in which both operands have more than half their slots nonzero
-    takes the Karatsuba short product (_short): it keeps only the window,
-    where the product of the high halves would land wholly at or past the
-    truncation, so that high x high block is never formed.  Everything
-    else, such as short windows, sparse series and the zero padding of a
-    refined grid, takes the schoolbook over nonzero pairs: each nonzero
-    term of a meets the nonzero terms of b in ascending order, up to the
-    first whose index sum leaves the window, so zero slots are never
-    visited.
+    Three products, chosen from what the operands show.  A window of at
+    most _SMALL slots, or one in which an operand has at most half its
+    slots nonzero (sparse series, the zero padding of a refined grid),
+    takes the schoolbook over nonzero pairs (_school): each nonzero term
+    of a meets the nonzero terms of b in ascending order, up to the first
+    whose index sum leaves the window, so zero slots are never visited.
+    A dense window whose largest coefficients have bx + by bits, at most
+    _NARROW, is one CPython multiply of two packed ints (_kronecker).  A
+    wider one takes the Karatsuba short product (_short), which never forms
+    the high x high block, or in a window of at most _GATE slots the dense
+    double loop (_dense).
     """
     a, b = _align(a, b)
     T = min(a.T, b.T)
     ns = _slots(a.D, T)
-    if ns > _GATE:
+    if ns > _SMALL:
         x, y = a.coeffs[:ns], b.coeffs[:ns]
         if (2 * (len(x) - x.count(0)) > ns
                 and 2 * (len(y) - y.count(0)) > ns):
+            if _bits(x) + _bits(y) <= _NARROW:
+                return FracSeries(a.D, T, _kronecker(x, y, ns))
             x += [0] * (ns - len(x))
             y += [0] * (ns - len(y))
-            return FracSeries(a.D, T, _short(x, y, ns))
+            return FracSeries(a.D, T, (_short if ns > _GATE else _dense)(
+                x, y, ns))
     return FracSeries(a.D, T, _school(a.coeffs, b.coeffs, ns))
 
 
-# Karatsuba on plain coefficient lists for windows over _GATE slots (below
-# that the schoolbook is as fast), recursing down to _BASE slots; both are
-# set from timings of the scan's dense products.
-_GATE, _BASE = 128, 16
+# Cut-offs, from per-product timings.  On the scan's dense 236-slot
+# products (bx + by bits: Kronecker vs Karatsuba) 60: 0.19 vs 1.26 ms,
+# 318: 1.14 vs 1.77, 336: 1.26 vs 1.72, 542: 2.53 vs 2.08, 1778: 13.2 vs
+# 2.33; on graded random operands the two meet near 460 bits at 129 and
+# 236 slots and near 380 at 64, so Kronecker up to _NARROW bits.  Windows
+# of at most _SMALL slots, such as the sweep's 17-slot products, go to the
+# schoolbook with no density scan before it.  Karatsuba recurses from
+# windows over _GATE slots (below that the dense loop is as fast) down to
+# _BASE slots.
+_SMALL, _NARROW, _GATE, _BASE = 32, 400, 128, 16
+
+
+def _bits(x: list) -> int:
+    """Bit length of the largest |coefficient| of x."""
+    return max(max(x, default=0), -min(x, default=0)).bit_length()
 
 
 def _school(x: list, y: list, ns: int) -> list:
@@ -267,13 +261,49 @@ def _school(x: list, y: list, ns: int) -> list:
     return out
 
 
+def _dense(x: list, y: list, ns: int) -> list:
+    """The first ns slots of x*y, every pair of the window."""
+    out = [0] * ns
+    for i, c in enumerate(x[:ns]):
+        for e, d in enumerate(y[:ns - i], i):
+            out[e] += c * d
+    return out
+
+
+def _kronecker(x: list, y: list, ns: int) -> list:
+    """The first ns slots of x*y by Kronecker substitution.
+
+    x and y are packed as X = sum x_i * 2^(W*i) and Y, with a slot of W
+    bits that holds any |slot of x*y| < ns * 2^(bx + by) and its sign, W a
+    whole number of bytes.  One multiply gives X*Y; adding 2^(W-1) to each
+    of its low ns slots makes every slot nonnegative, so they are read off
+    its bytes with no borrow, and 2^(W-1) is taken off again.
+    """
+    w = (_bits(x) + _bits(y) + ns.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    p = _pack(x, w) * _pack(y, w) + int.from_bytes(
+        half.to_bytes(w, "little") * ns, "little")
+    buf = (p & ((1 << 8 * w * ns) - 1)).to_bytes(w * ns, "little")
+    return [int.from_bytes(buf[i:i + w], "little") - half
+            for i in range(0, w * ns, w)]
+
+
+def _pack(x: list, w: int) -> int:
+    """sum x_i * 2^(8*w*i) for signed x_i with |x_i| < 2^(8*w - 2): each
+    slot is packed as x_i + 2^(8*w - 2) >= 0 and the offsets taken off."""
+    off = 1 << (8 * w - 2)
+    return int.from_bytes(
+        b"".join([(c + off).to_bytes(w, "little") for c in x]), "little") \
+        - int.from_bytes(off.to_bytes(w, "little") * len(x), "little")
+
+
 def _full(x: list, y: list) -> list:
     """x*y, all 2n - 1 slots, for x and y of one length n: Karatsuba with
     x = x0 + t^h x1, x0*y0 and x1*y1 and the middle (x0 + x1)(y0 + y1)
     minus both."""
     n = len(x)
     if n <= _BASE:
-        return _school(x, y, 2 * n - 1)
+        return _dense(x, y, 2 * n - 1)
     h = n // 2
     z0, z2 = _full(x[:h], y[:h]), _full(x[h:], y[h:])
     mid = _full([*map(operator.add, x[:h], x[h:]), *x[2 * h:]],
@@ -295,7 +325,7 @@ def _short(x: list, y: list, n: int) -> list:
     that high x high block is never formed.
     """
     if n <= _BASE:
-        return _school(x, y, n)
+        return _dense(x, y, n)
     h = (n + 1) // 2
     lo = n - h
     out = _full(x[:h], y[:h])

@@ -37,6 +37,36 @@ def brute_force_r8(m_max: int):
     return counts
 
 
+def monomial(coeff, exponent, T, D: int = 1):
+    """coeff * t^exponent as a FracSeries; exponent must land on the e/D
+    grid, else GridViolation."""
+    from fractions import Fraction
+
+    from zktheta.errors import GridViolation
+    from zktheta.series import FracSeries
+
+    e = Fraction(exponent) * D
+    if e.denominator != 1 or e < 0:
+        raise GridViolation(f"exponent {exponent} not on grid 1/{D}")
+    return FracSeries.from_terms(D, T, {e.numerator: coeff})
+
+
+def coeff_at(a, exponent):
+    """Exact coefficient of t^exponent in the series a; 0 for off-grid
+    exponents below its truncation, OutOfTruncation at or past it."""
+    from fractions import Fraction
+
+    from zktheta.errors import OutOfTruncation
+
+    exponent = Fraction(exponent)
+    if exponent >= a.T:
+        raise OutOfTruncation(f"exponent {exponent} >= truncation {a.T}")
+    e = exponent * a.D
+    if e.denominator != 1 or e < 0:
+        return 0
+    return a.coeff_index(e.numerator)
+
+
 def binary_power(a, m: int):
     """a^m for m >= 0 by repeated squaring with series.mul.
 
@@ -65,6 +95,45 @@ def dense_theta_bracket(th1, e4):
 
     return linear_combine(mul(th1, euler_scaled(e4)),
                           mul(euler_scaled(th1), e4), 1, -1)
+
+
+def w_powers(T):
+    """[w^s for s = 0..T-1], w = E4^3 * h = t*J, each cut at T."""
+    from zktheta.modforms import eisenstein_e4, h_series
+    from zktheta.series import FracSeries, mul, power
+
+    w = mul(power(eisenstein_e4(T), 3), h_series(T))
+    out = [FracSeries.constant(1, T)]
+    for _ in range(1, T):
+        out.append(mul(out[-1], w))
+    return out
+
+
+def bracket_b_list(n: int, k: int, extra: int, wpows: list):
+    """b_{2s} for s = 0..mu+extra in the bracket form of Lagrange-Buermann,
+    b_{2s} = -(j/s) * [t^s] theta1^(j-1) * B * E4^(3s-j-1) * h^s with the
+    bracket B = t * (theta1 * E4' - theta1' * E4) from dense_theta_bracket;
+    every division by s is asserted exact.
+
+    Oracle for extremal's E6 form, b_{2s} = [t^s] theta1^j * E6 *
+    E4^(3s-j-1) * h^s, which has no bracket and no division.  The b's are
+    [t^s] R * w^s with R = theta1^(j-1) * B * E4^(-j-1); wpows is
+    w_powers(T) for any T > mu + extra.
+    """
+    from zktheta.modforms import eisenstein_e4, theta1
+    from zktheta.series import mul, power
+
+    j, N = n // 8, n // 24 + extra + 1
+    th1, e4 = theta1(k, N), eisenstein_e4(N)
+    r = mul(mul(power(th1, j - 1), dense_theta_bracket(th1, e4)),
+            power(e4, -j - 1)).coeffs
+    out = [1]
+    for s in range(1, N):
+        ws = wpows[s].coeffs
+        b, rem = divmod(-j * sum(r[e] * ws[s - e] for e in range(s + 1)), s)
+        assert rem == 0, (n, k, s)
+        out.append(b)
+    return out
 
 
 def matching_b_list(n: int, k: int, extra: int):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (binary_power, dense_f_bracket, extremal_excess,
-                      lattice_certificate, matching_b_list,
-                      padded_certificate)
+from conftest import (binary_power, bracket_b_list, dense_f_bracket,
+                      extremal_excess, lattice_certificate, matching_b_list,
+                      padded_certificate, w_powers)
 from zktheta import extremal
 from zktheta.errors import (GridViolation, InvalidLength, OutOfTruncation,
                              PrecisionTooSmall)
@@ -195,33 +195,33 @@ def test_positivity_small_n_matches_lattice_points():
 def test_f_bracket_off_coset_raises(monkeypatch):
     # an extra t^(2/8) in f_1 at k = 2 puts bracket weight on the coset 2/8,
     # not on r = 1/8 where f_1 lives
-    real = extremal.theta_f
+    real = extremal.theta_terms
 
     def skewed(k, i, T):
-        extra = FracSeries.monomial(1, Fraction(2, 8), T, D=8)
-        return real(k, i, T) + extra if i == 1 else real(k, i, T)
+        return sorted(real(k, i, T) + [(2, 1)]) if i == 1 else real(k, i, T)
 
-    monkeypatch.setattr(extremal, "theta_f", skewed)
-    f0 = theta_f(2, 0, 4)
+    monkeypatch.setattr(extremal, "theta_terms", skewed)
+    f0c = extremal._theta0(2, 4)
     with pytest.raises(GridViolation):
-        extremal._f_bracket(2, 1, f0)
+        extremal._f_bracket(2, 1, f0c, 4)
     monkeypatch.undo()
-    assert extremal._f_bracket(2, 1, f0)[0] == 1
+    assert extremal._f_bracket(2, 1, f0c, 4)[0] == 1
 
 
 def _theta_f_calls(monkeypatch, run):
-    """The index i of every theta_f call made by run(); modforms.theta1
-    would build its own f0, so both bindings are watched."""
+    """The index i of every f_i that run() builds: every theta_terms call,
+    which theta_f makes too; modforms.theta1 would build its own f0, so both
+    bindings are watched."""
     from zktheta import modforms
 
-    calls, real = [], modforms.theta_f
+    calls, real = [], modforms.theta_terms
 
     def counted(k, i, T):
         calls.append(i)
         return real(k, i, T)
 
-    monkeypatch.setattr(modforms, "theta_f", counted)
-    monkeypatch.setattr(extremal, "theta_f", counted)
+    monkeypatch.setattr(modforms, "theta_terms", counted)
+    monkeypatch.setattr(extremal, "theta_terms", counted)
     run()
     monkeypatch.undo()
     return calls
@@ -252,7 +252,7 @@ def test_f_bracket_matches_dense_grid_oracle():
     for k in range(1, 10):
         for i in range(1, k + 1):
             for T in (1, 2, 5, 30):
-                r, b = extremal._f_bracket(k, i, theta_f(k, 0, T))
+                r, b = extremal._f_bracket(k, i, extremal._theta0(k, T), T)
                 want_r, want = dense_f_bracket(k, i, T)
                 assert (r, b.D, b.T, b.coeffs) == \
                     (want_r, want.D, want.T, want.coeffs), (k, i, T)
@@ -269,7 +269,7 @@ def test_theta0_is_f0_on_its_coset():
     # f0(t) = f0c(t^k), and f0c is Jacobi's theta3 whatever k is
     for k in range(1, 7):
         for T in (1, 2, 7, 30):
-            f0, f0c = extremal._theta0(k, T)
+            f0, f0c = theta_f(k, 0, T), extremal._theta0(k, T)
             assert f0c.T == -(-T // k)
             assert _expand(f0c, k).coeffs[:T] == f0.regrid(1).coeffs
             assert f0c.coeffs == theta_f(1, 0, f0c.T).regrid(1).coeffs
@@ -280,32 +280,51 @@ def test_coset_product_and_strided_dot_match_expanded(monkeypatch, k):
     # X(t) = xc(t^k) times a dense z against mul and the plain dot on the
     # expanded X.  The windows put ns/k below and above the Karatsuba gate
     # of 128 slots, with ns off a multiple of k, and xc cut at, past and
-    # short of ceil(ns/k); each residue class clears the gate on its own
+    # short of ceil(ns/k); each residue class clears the gate on its own.
+    # Operands of 400 bits are too wide for Kronecker, so Karatsuba runs
+    # exactly past the gate; operands of 20 bits take Kronecker on both
+    # sides of it
     from zktheta import series
-    real_short, shorts = series._short, []
+    kernels = {name: [] for name in ("_short", "_kronecker")}
 
-    def short(x, y, n):
-        shorts.append(n)
-        return real_short(x, y, n)
+    def spy(name):
+        real = getattr(series, name)
+
+        def kernel(x, y, n):
+            kernels[name].append(n)
+            return real(x, y, n)
+        return kernel
 
     rng = random.Random(k)
-    for ns in (60 * k + k // 2, 200 * k + k - 1):
-        z = FracSeries(1, ns, [rng.randint(-10 ** 6, 10 ** 6)
-                               for _ in range(ns)])
-        for tx in (-(-ns // k), -(-ns // k) + 3, ns // k - 2):
-            xc = FracSeries(1, tx, [rng.randint(-10 ** 6, 10 ** 6)
-                                    for _ in range(tx)])
-            want = mul(_expand(xc, k), z)
-            monkeypatch.setattr(series, "_short", short)
-            got = extremal._coset_mul(xc, z, k)
-            monkeypatch.undo()
-            assert (got.T, got.coeffs) == (want.T, want.coeffs), (ns, tx)
-            assert bool(shorts) == (ns // k > 128), (ns, tx)
-            shorts.clear()
-            for e in [*range(0, len(want.coeffs), 7), len(want.coeffs) - 1]:
-                dot = extremal._coeff_of_product(xc, z, e, k)
-                assert dot == want.coeffs[e] == \
-                    extremal._coeff_of_product(_expand(xc, k), z, e), e
+    for bits in (400, 20):
+        def draw(m):
+            return [rng.choice((-1, 1)) * rng.getrandbits(bits)
+                    for _ in range(m)]
+
+        for ns in (60 * k + k // 2, 200 * k + k - 1):
+            z = FracSeries(1, ns, draw(ns))
+            for tx in (-(-ns // k), -(-ns // k) + 3, ns // k - 2):
+                xc = FracSeries(1, tx, draw(tx))
+                want = mul(_expand(xc, k), z)
+                for name in kernels:
+                    monkeypatch.setattr(series, name, spy(name))
+                got = extremal._coset_mul(xc, z, k)
+                monkeypatch.undo()
+                assert (got.T, got.coeffs) == (want.T, want.coeffs), (ns, tx)
+                if bits == 400:
+                    assert bool(kernels["_short"]) == (ns // k > 128), \
+                        (ns, tx)
+                    assert not kernels["_kronecker"], (ns, tx)
+                else:
+                    assert kernels["_kronecker"] and not kernels["_short"], \
+                        (ns, tx)
+                for calls in kernels.values():
+                    calls.clear()
+                for e in [*range(0, len(want.coeffs), 7),
+                          len(want.coeffs) - 1]:
+                    dot = extremal._coeff_of_product(xc, z, e, k)
+                    assert dot == want.coeffs[e] == \
+                        extremal._coeff_of_product(_expand(xc, k), z, e), e
 
 
 def _hand_layers(mu, edit=None, k=4, T=None):
@@ -381,7 +400,7 @@ def test_cut_factors_raise_out_of_truncation():
             _verdict(*_hand_layers(3, T=4)[:3], held, 3)
     x = FracSeries.constant(1, 3)
     with pytest.raises(OutOfTruncation):
-        extremal._b_at(x, x, 1, 3)
+        extremal._b_at(x, x, 3)
 
 
 # -- Eq. (3) value ----------------------------------------------------------
@@ -489,6 +508,36 @@ def test_crossover_scan_matches_direct_profiles():
                 assert p.b == matching_b_list(n, k, 2)
                 assert (row.n, row.beta1, row.beta2) == (n, p.beta1, p.beta2)
                 assert (row.beta1, row.beta2) == excess[k]
+
+
+def test_e6_form_matches_bracket_form_oracle():
+    # b_coefficients, one-length tails and a walked run (mu = 0..200)
+    # against the bracket form, whose division by s the oracle asserts
+    # exact; every nu class, at mu = 0 and at mu = 200
+    ns = (8, 16, 24, 96, 104, 136, 4800)
+    wpows = w_powers(4800 // 24 + 3)
+    for k in range(1, 7):
+        walked = extremal._tail_chunk(k, list(ns))
+        for n, row in zip(ns, walked):
+            want = bracket_b_list(n, k, 2, wpows)
+            assert b_coefficients(n, k, 2) == want, (n, k)
+            assert row == (n, *want[-2:]) == \
+                extremal._tail_chunk(k, [n])[0], (n, k)
+
+
+def test_b_paths_never_form_the_theta_bracket(monkeypatch):
+    # the b-list and the tail b's take the E6 form; only the certificate
+    # forms the bracket
+    def banned(*args):
+        raise AssertionError("called _theta_bracket")
+
+    monkeypatch.setattr(extremal, "_theta_bracket", banned)
+    for k in (1, 2, 6):
+        b_coefficients(480, k, 2)
+        extremal._tail_chunk(k, [480])
+        extremal._tail_chunk(k, [480, 488, 496, 504])
+    with pytest.raises(AssertionError):
+        positivity_certificate(480, 2)
 
 
 def _giant_ends(monkeypatch, run):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_power
+from conftest import binary_power, coeff_at, monomial
 from zktheta import series
 from zktheta.errors import (
     GridViolation,
@@ -40,7 +40,7 @@ def test_linear_combine_identity():
 
 def test_linear_combine_e4_minus_theta0():
     diff = eisenstein_e4(5) - theta1(1, 5)
-    assert diff.coeff_at(1) == 240 - 16 == 224
+    assert coeff_at(diff, 1) == 240 - 16 == 224
 
 
 def test_mul_basic():
@@ -49,7 +49,7 @@ def test_mul_basic():
 
 def test_mul_delta_h_is_t():
     prod = mul(delta24(30), h_series(30))
-    assert prod == FracSeries.monomial(1, 1, 30)
+    assert prod == monomial(1, 1, 30)
 
 
 def test_mul_e4_inverse():
@@ -98,15 +98,15 @@ def test_pow_zero_series_and_shift_past_truncation():
     assert power(zero, 3).nonzero_terms() == []
     assert power(zero, 0) == FracSeries.constant(1, Fraction(7, 2), 4)
     # t^2 cubed is t^6, beyond T = 5
-    assert power(FracSeries.monomial(1, 2, 5), 3).nonzero_terms() == []
+    assert power(monomial(1, 2, 5), 3).nonzero_terms() == []
     # leading shift v = 1: (t^(1/4) + 2t^(1/2))^2 = t^(1/2) + 4t^(3/4) + O(t)
     sq = power(FracSeries(4, 1, [0, 1, 2, 0]), 2)
     assert sq.nonzero_terms() == [(2, 1), (3, 4)]
 
 
 def test_differentiate_monomial():
-    d = differentiate(FracSeries.monomial(1, 2, 10))
-    assert d == FracSeries.monomial(2, 1, 9)
+    d = differentiate(monomial(1, 2, 10))
+    assert d == monomial(2, 1, 9)
 
 
 def test_differentiate_e4():
@@ -115,29 +115,29 @@ def test_differentiate_e4():
 
 
 def test_differentiate_fractional_grid():
-    a = FracSeries.monomial(4, Fraction(9, 4), 10, D=4)
+    a = monomial(4, Fraction(9, 4), 10, D=4)
     d = differentiate(a)
-    assert d == FracSeries.monomial(9, Fraction(5, 4), 9, D=4)
+    assert d == monomial(9, Fraction(5, 4), 9, D=4)
     # d/dt t^(9/4) = (9/4) t^(5/4) is not integral
     with pytest.raises(ArithmeticError):
-        differentiate(FracSeries.monomial(1, Fraction(9, 4), 10, D=4))
+        differentiate(monomial(1, Fraction(9, 4), 10, D=4))
 
 
 def test_differentiate_negative_exponent_raises():
-    a = FracSeries.monomial(1, Fraction(1, 4), 10, D=4)
+    a = monomial(1, Fraction(1, 4), 10, D=4)
     with pytest.raises(NegativeExponent):
         differentiate(a)
 
 
 def test_coeff_at_examples():
-    assert eisenstein_e4(10).coeff_at(1) == 240
-    assert poly(1, -1).coeff_at(2) == 0
-    assert delta24(10).coeff_at(4) == -1472
+    assert coeff_at(eisenstein_e4(10), 1) == 240
+    assert coeff_at(poly(1, -1), 2) == 0
+    assert coeff_at(delta24(10), 4) == -1472
 
 
 def test_coeff_at_beyond_truncation():
     with pytest.raises(OutOfTruncation):
-        poly(1, 2, T=2).coeff_at(5)
+        coeff_at(poly(1, 2, T=2), 5)
 
 
 def test_grid_embedding_roundtrip():
@@ -146,7 +146,7 @@ def test_grid_embedding_roundtrip():
 
 
 def test_regrid_off_grid_raises():
-    a = FracSeries.monomial(1, Fraction(1, 4), 10, D=4)
+    a = monomial(1, Fraction(1, 4), 10, D=4)
     with pytest.raises(GridViolation):
         a.regrid(1)
 
@@ -359,6 +359,88 @@ def test_karatsuba_kernels_match_convolution():
         want = _convolution(x, y, 2 * n - 1)
         assert series._full(x, y) == want, n
         assert series._short(x, y, n) == want[:n], n
+
+
+def _signed(rnd, bits, m, zeros=0.0):
+    """m signed ints of at most `bits` bits, a share `zeros` of them 0 and
+    every tenth one +-(2^bits - 1)."""
+    top = (1 << bits) - 1
+    return [0 if rnd.random() < zeros else rnd.choice((-1, 1)) *
+            (top if i % 10 == 3 else rnd.getrandbits(bits))
+            for i in range(m)]
+
+
+def test_kronecker_matches_convolution_every_window():
+    # every window length through 70 and three past the Karatsuba gate,
+    # signed operands with zero slots, and one operand shorter than the
+    # window
+    rnd = random.Random(22)
+    for ns in [*range(1, 71), 129, 236, 300]:
+        x, y = _signed(rnd, 30, ns, 0.2), _signed(rnd, 45, ns, 0.2)
+        assert series._kronecker(x, y, ns) == _convolution(x, y, ns), ns
+        cut = x[:rnd.randrange(ns)]
+        assert series._kronecker(cut, y, ns) == _convolution(cut, y, ns), ns
+        assert series._kronecker(y, cut, ns) == _convolution(y, cut, ns), ns
+
+
+def test_kronecker_slot_width_boundaries():
+    # coefficients at the slot-width boundaries: the widest slot sums come
+    # from operands all +-(2^b - 1), of one sign or of both
+    rnd = random.Random(64)
+    for b in (1, 7, 8, 9, 63, 64, 65):
+        top = (1 << b) - 1
+        for ns in (1, 2, 7, 8, 33, 70, 129, 236):
+            for sx, sy in ((1, 1), (1, -1), (-1, -1)):
+                x, y = [sx * top] * ns, [sy * top] * ns
+                want = _convolution(x, y, ns)
+                assert want[-1] == sx * sy * ns * top * top
+                assert series._kronecker(x, y, ns) == want, (b, ns, sx, sy)
+            x, y = _signed(rnd, b, ns), _signed(rnd, b, ns, 0.3)
+            negative = [-abs(c) or -1 for c in x]
+            for u, v in ((x, y), (negative, y), (negative, negative)):
+                assert series._kronecker(u, v, ns) == _convolution(u, v, ns), \
+                    (b, ns)
+
+
+def _kernel_calls(monkeypatch, a, b):
+    """mul(a, b) and the names of the kernels it ran, outermost first."""
+    calls = []
+    for name in ("_school", "_kronecker", "_short", "_dense"):
+        def spy(x, y, n, real=getattr(series, name), name=name):
+            calls.append(name)
+            return real(x, y, n)
+        monkeypatch.setattr(series, name, spy)
+    p = mul(a, b)
+    monkeypatch.undo()
+    return p, calls
+
+
+def test_mul_dispatch_picks_the_kernel_meant_for_the_operands(monkeypatch):
+    # windows of at most _SMALL slots and sparse operands: schoolbook; dense
+    # operands of at most _NARROW bits together: Kronecker; wider dense
+    # ones: Karatsuba past _GATE, the dense loop below it.  D = 4 too
+    rnd = random.Random(7)
+    small, narrow, gate = series._SMALL, series._NARROW, series._GATE
+    wide = narrow // 2 + 1
+    cases = [
+        (small, 1, 30, 30, 0.0, "_school"),
+        (small + 1, 1, 30, 30, 0.6, "_school"),
+        (236, 4, 30, 30, 0.6, "_school"),
+        (small + 1, 1, 30, 30, 0.0, "_kronecker"),
+        (236, 1, 1, narrow - 1, 0.0, "_kronecker"),
+        (236, 4, 30, 30, 0.4, "_kronecker"),
+        (236, 1, 1, narrow, 0.0, "_short"),
+        (236, 1, wide, wide, 0.0, "_short"),
+        (gate + 1, 4, wide, wide, 0.2, "_short"),
+        (gate, 1, wide, wide, 0.0, "_dense"),
+    ]
+    for ns, D, bx, by, zeros, kernel in cases:
+        a = FracSeries(D, Fraction(ns, D), _signed(rnd, bx, ns, zeros))
+        b = FracSeries(D, Fraction(ns, D), _signed(rnd, by, ns, zeros))
+        p, calls = _kernel_calls(monkeypatch, a, b)
+        assert calls[0] == kernel, (ns, D, bx, by, zeros)
+        assert kernel == "_short" or calls == [kernel]
+        assert p.coeffs == _convolution(a.coeffs, b.coeffs, ns)
 
 
 @settings(max_examples=150, deadline=None)
