@@ -14,8 +14,7 @@ _EXPORTS = {
                  "theta_f"),
     "extremal": ("ExtremalProfile", "PositivityReport", "b_coefficients",
                  "beta_stars", "crossover_scan", "eq3_value",
-                 "extremal_theta", "positivity_certificate", "profile",
-                 "theorem1_sweep"),
+                 "positivity_certificate", "profile", "theorem1_sweep"),
     "codes": ("LinearCode", "enumerate_codewords", "euclidean_weight", "rho",
               "search_c8", "swe", "theta_cosets", "theta_substitution",
               "verify_type2"),

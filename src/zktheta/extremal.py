@@ -11,8 +11,9 @@ t*J' = -J * E6/E4 makes 1 - t*w'/w = E6/E4, so
 
 with b_0 = 1; at s = mu+1 and mu+2 the E4 exponent is 2-nu and 5-nu.  Every
 b is one dot product, fed by one baby-step giant-step walker (_walk): the
-full b-list walks R * w^s, the tail b's of a run of lengths walk
-C_mu = theta1^(3mu) * E6 * h^(mu+1) times a factor per nu.  Powers of
+full b-list walks R * w^s, the tail b's of a run of lengths walk the eta
+quotients theta1^(3mu) * h^(mu+1), each built from its logarithmic
+derivative (_theta_h), times E6 and a factor per nu.  Other powers of
 theta1 = f0^8 and h = P^(-24) are taken as powers of the lacunary f0 and
 Euler's P, and E4^2, E4^3 as products.  f0(t) = f0c(t^k) lives on t^(kZ),
 so every power of f0 and theta1 is kept as a series in u = t^k (_theta0): a
@@ -35,8 +36,8 @@ import operator
 from collections import namedtuple
 
 from .errors import (GridViolation, InvalidLength, InvalidRange,
-                     OutOfTruncation, PrecisionTooSmall)
-from .modforms import (delta24, eisenstein_e4, eisenstein_e6, h_series,
+                     OutOfTruncation)
+from .modforms import (_eisenstein, eisenstein_e4, eisenstein_e6, h_series,
                        theta_terms)
 from .series import (
     FracSeries,
@@ -134,6 +135,25 @@ def _theta0(k: int, T) -> FracSeries:
                                  {x2 // (4 * k * k): c for x2, c in terms})
 
 
+def _theta_h(k: int, a: int, b: int, T: int) -> FracSeries:
+    """f0^a * h^b on the integer grid, cut at T, from its logarithmic
+    derivative.  By Jacobi's triple product f0(t) = P(t^2k)^5 / (P(t^k)^2 *
+    P(t^4k)^2), and t * d/dt log P(t^c) = -c * sum_N sigma1(N) t^(cN), so
+    L = t*H'/H has small integer coefficients and n*H_n = sum_{i=1..n} L_i *
+    H_(n-i), Euler's recurrence for partitions."""
+    sig = _eisenstein(T, 1, 1).coeffs
+    lg = [24 * b * s for s in sig]
+    for c, f in ((k, 2 * k), (2 * k, -10 * k), (4 * k, 8 * k)):
+        lg[c::c] = map(operator.add, lg[c::c], [a * f * s for s in sig[1:]])
+    out = [1]
+    for n in range(1, T):
+        q, rem = divmod(sum(map(operator.mul, lg[n:0:-1], out)), n)
+        if rem:
+            raise ArithmeticError(f"inexact slot {n} of f0^{a} h^{b}")
+        out.append(q)
+    return FracSeries(1, T, out)
+
+
 def _b_at(x: FracSeries, y: FracSeries, s: int) -> int:
     """b_{2s} = [t^s] x*y."""
     if min(x.T, y.T) <= s:
@@ -154,7 +174,9 @@ def b_coefficients(n: int, k: int, extra: int = 0) -> list:
     w = mul(mul(mul(e4, e4), e4), h_series(count))
     r = mul(_coset_mul(power(f0c, 8 * j), eisenstein_e6(count), k),
             power(e4, -j - 1))
-    walk = _walk(r, w, {0: [w]}, [(d, 0) for d in range(count - 1)])
+    walk = _walk(lambda m, ds: itertools.accumulate(
+        [power(w, m)] * (len(ds) - 1), mul, initial=r),
+        w, {0: [w]}, [(d, 0) for d in range(count - 1)])
     return [1] + [_b_at(g, x, s) for s, (g, [x]) in enumerate(walk, 1)]
 
 
@@ -177,24 +199,6 @@ def profile(n: int, k: int) -> ExtremalProfile:
     beta1, beta2 = _betas_from_b(n, b[mu + 1], b[mu + 2])
     return ExtremalProfile(n=n, k=k, j=j, mu=mu, nu=nu, b=b,
                            beta1=beta1, beta2=beta2)
-
-
-def extremal_theta(n: int, k: int, T) -> FracSeries:
-    """sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, truncated at T.
-
-    Summed as E4^j * sum_s b_{2s} u^s with u = Delta * E4^(-3), by Horner.
-    """
-    from fractions import Fraction
-    j, mu, _ = shape(n)
-    T = Fraction(T)
-    if T <= mu + 2:
-        raise PrecisionTooSmall(f"need T > mu+2 = {mu + 2}, got {T}")
-    e4 = eisenstein_e4(T)
-    u = mul(delta24(T), power(e4, -3))
-    acc = FracSeries.constant(0, T)
-    for bs in reversed(b_coefficients(n, k)):
-        acc = mul(acc, u) + bs
-    return mul(power(e4, j), acc)
 
 
 def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
@@ -251,18 +255,18 @@ def _f_bracket(k: int, i: int, f0c: FracSeries, T: int):
 
 
 def _certificate_factors(k: int, T):
-    """th1c and (bracket, [(r_i, f0^7 * B_i) for i = 1..k]), all on the
-    integer grid, theta1(t) = th1c(t^k).
+    """f0c and (bracket, [(r_i, f0^7 * B_i) for i = 1..k]), all on the
+    integer grid, f0(t) = f0c(t^k).
 
     f0^(8j-1) = theta1^(j-1) * f0^7, so every certificate layer at n = 8j
     is theta1^(j-1) times the bracket or one of the f0^7 * B_i.  One f0
     gives them all, theta1 = f0^8 as in modforms.theta1.
     """
     f0c = _theta0(k, T)
-    th1c, f07c = power(f0c, 8), power(f0c, 7)
+    f07c = power(f0c, 7)
     brks = [_f_bracket(k, i, f0c, T) for i in range(1, k + 1)]
-    return th1c, (_theta_bracket(th1c, eisenstein_e4(T), k),
-                  [(r, _coset_mul(f07c, b, k)) for r, b in brks])
+    return f0c, (_theta_bracket(power(f0c, 8), eisenstein_e4(T), k),
+                 [(r, _coset_mul(f07c, b, k)) for r, b in brks])
 
 
 def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
@@ -320,8 +324,8 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
     """
     from fractions import Fraction
     j, mu, nu = shape(n)
-    th1c, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e, _, _ = _verdict(power(th1c, j - 1), cert, k,
+    f0c, cert = _certificate_factors(k, mu + 2)
+    ok, min_c, min_e, _, _ = _verdict(power(f0c, 8 * (j - 1)), cert, k,
                                       [-1] * (k + 1), mu)
     return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
                             min_exponent=Fraction(min_e, 4 * k), verdict=ok)
@@ -369,43 +373,43 @@ def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:
     return [r for part in parts for r in part]
 
 
-def _walk(giant: FracSeries, step: FracSeries, factors: dict, keyed: list):
+def _walk(giants, step: FracSeries, factors: dict, keyed: list):
     """Yield (g, babies) for each (d, key) of keyed, ascending in d >= 0,
-    with [t^e] g * babies[i] = [t^e] giant * step^d * factors[key][i].
+    with [t^e] g * babies[i] = [t^e] G_0 * step^d * factors[key][i].
 
-    Baby-step giant-step: for d = m*q + r, g = giant * step^(m*q) is
-    stepped up by step^m and babies[i] = step^r * factors[key][i].  Over a
-    span of S values of d and f factors that is about S/m giant and
-    f*(m - 1) baby products; a giant costs about two babies (2.2-2.3 at
-    the scan's 236-slot window, where the giants take Karatsuba and the
-    babies Kronecker or Karatsuba), so m = isqrt(2*S // f), at least 1.
+    Baby-step giant-step: for d = m*q + r, g = G_(m*q) = G_0 * step^(m*q)
+    and babies[i] = step^r * factors[key][i]; giants(m, ds) yields G_d for
+    the ascending offsets ds, only those that keyed reads.  Over a span of
+    S values of d and f factors that is about S/m giants and f*(m - 1) baby
+    products; a giant costs one to two babies (2.5 ms against 1.4-2.4 at
+    the scan's 236-slot window), so m = isqrt(2*S // f), at least 1
+    (isqrt(S // f) was 3% faster on the scan, 10% slower at 1003 slots).
     """
     span = keyed[-1][0] + 1 if keyed else 0
     m = max(1, math.isqrt(2 * span // sum(map(len, factors.values()))))
     babies = {key: [list(itertools.accumulate([step] * (m - 1), mul,
                                               initial=f)) for f in fs]
               for key, fs in factors.items()}
-    stride, d_g = power(step, m), 0
+    gs, d_g = iter(giants(m, sorted({d - d % m for d, _ in keyed}))), None
     for d, key in keyed:
-        while d >= d_g + m:
-            giant, d_g = mul(giant, stride), d_g + m
-        yield giant, [b[d - d_g] for b in babies[key]]
+        if d - d % m != d_g:
+            d_g, g = d - d % m, next(gs)
+        yield g, [b[d % m] for b in babies[key]]
 
 
 def _tail_chunk(k: int, ns_list: list) -> list:
     """(n, b_{2(mu+1)}, b_{2(mu+2)}) for an ascending run of lengths.
 
     They are [t^s] X * Z * h^s at s = mu+1, mu+2, with X = theta1^j,
-    Z1 = E6 * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run: each
-    power of theta1 = f0^8 and h = P^(-24) comes from Miller's recurrence
-    over the lacunary f0c on u = t^k or P, and E4^2, E4^3 are products.
-    The route is chosen by the run length.  A run of one length leaves only
+    Z1 = E6 * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run; other
+    powers of theta1 = f0^8 and h = P^(-24) come from Miller's recurrence
+    over the lacunary f0c on u = t^k or P.  A run of one length leaves only
     the two X * Z products, k products each (one per residue class), and the
-    two dots dense.  A run of two or more walks
-    C_mu = theta1^(3mu) * E6 * h^(mu+1) from the run's least mu0 by step
-    theta1^3 * h, offset mu - mu0 and key nu: the b's are [t^(mu+1)] C_mu *
-    Q_nu and [t^(mu+2)] C_mu * Q_nu * w, with w = E4^3 * h and
-    Q_nu = theta1^nu * E4^(2-nu).
+    two dots dense.  A run of two or more walks G_mu = theta1^(3mu) *
+    h^(mu+1) from the run's least mu0 by step theta1^3 * h, offset mu - mu0
+    and key nu, each giant read built by _theta_h: the b's are [t^(mu+1)]
+    G_mu * Q_nu and [t^(mu+2)] G_mu * Q_nu * w, with w = E4^3 * h and
+    Q_nu = theta1^nu * E4^(2-nu) * E6.
     """
     if not ns_list:
         return []
@@ -422,12 +426,11 @@ def _tail_chunk(k: int, ns_list: list) -> list:
                  _b_at(_coset_mul(x, z2, k), h_series(T, mu + 2), mu + 2))]
     h = h_series(T)
     w, step = mul(e4s[3], h), _coset_mul(power(f0c, 24), h, k)
-    qs = {nu: _coset_mul(power(f0c, 8 * nu), e4s[2 - nu], k)
+    qs = {nu: mul(_coset_mul(power(f0c, 8 * nu), e4s[2 - nu], k), e6)
           for nu in {n // 8 % 3 for n in ns_list}}
     mu0 = ns_list[0] // 24
-    opening = mul(_coset_mul(power(f0c, 24 * mu0), h_series(T, mu0 + 1), k),
-                  e6)
-    walk = _walk(opening, step,
+    walk = _walk(lambda m, ds: (_theta_h(k, 24 * (mu0 + d), mu0 + d + 1, T)
+                                for d in ds), step,
                  {nu: [q, mul(q, w)] for nu, q in qs.items()},
                  [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
     return [(n, _b_at(g, q, n // 24 + 1), _b_at(g, qw, n // 24 + 2))
@@ -473,7 +476,7 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     theta1^(j-1) * f0^7, so each layer is theta1^(j-1) times a factor fixed
     per run.  The window grows only with mu: once every layer holds at some
     mu, the other lengths of that mu read nothing, and a length that reads
-    steps theta1^(j-1) up by a cached theta1^d, both kept on u = t^k.  The
+    takes theta1^(j-1) = f0^(8(j-1)) by Miller over the lacunary f0c.  The
     E6 form of the module docstring equals the bracket form: with the
     bracket B = t*(theta1*E4' - theta1'*E4), t*phi' = -j * theta1^(j-1) *
     E4^(-j-1) * B, so at s = mu + 1, b_{2s} = -(j/s) * sum_{e=1..s} c_e *
@@ -484,20 +487,15 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
     """
     if not ns_list:
         return []
-    th1c, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
-    j0 = ns_list[0] // 8
-    th1pow, steps = power(th1c, j0 - 1), {}
+    f0c, cert = _certificate_factors(k, ns_list[-1] // 24 + 2)
     rows, held, done = [], [-1] * (k + 1), None  # done: mu where all held
     for n in ns_list:
         j, mu, _ = shape(n)
         if mu == done:
             rows.append(Theorem1Row(n, True, True))
             continue
-        if j > j0:
-            if j - j0 not in steps:
-                steps[j - j0] = power(th1c, j - j0)
-            th1pow, j0 = mul(th1pow, steps[j - j0]), j
-        ok, _, _, head, held = _verdict(th1pow, cert, k, held, mu)
+        ok, _, _, head, held = _verdict(power(f0c, 8 * (j - 1)), cert, k,
+                                        held, mu)
         done = mu if ok else None
         rows.append(Theorem1Row(n, head or beta_stars(n, k)[0] > 0, ok))
     return rows

@@ -162,6 +162,29 @@ def matching_b_list(n: int, k: int, extra: int):
     return power(FracSeries(1, N, g), n // 8).coeffs
 
 
+def extremal_theta(n: int, k: int, T):
+    """sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, truncated at T: the putative
+    extremal theta series, summed as E4^j * sum_s b_{2s} u^s with
+    u = Delta * E4^(-3), by Horner, from extremal.b_coefficients."""
+    from fractions import Fraction
+
+    from zktheta.errors import PrecisionTooSmall
+    from zktheta.extremal import b_coefficients, shape
+    from zktheta.modforms import delta24, eisenstein_e4
+    from zktheta.series import FracSeries, mul, power
+
+    j, mu, _ = shape(n)
+    T = Fraction(T)
+    if T <= mu + 2:
+        raise PrecisionTooSmall(f"need T > mu+2 = {mu + 2}, got {T}")
+    e4 = eisenstein_e4(T)
+    u = mul(delta24(T), power(e4, -3))
+    acc = FracSeries.constant(0, T)
+    for bs in reversed(b_coefficients(n, k)):
+        acc = mul(acc, u) + bs
+    return mul(power(e4, j), acc)
+
+
 def _trunc_mul(a, b, N):
     """Product of two coefficient lists, cut to N terms."""
     out = [0] * N

@@ -18,7 +18,8 @@ from fractions import Fraction
 import mpmath as mp
 
 import conftest
-from conftest import extremal_excess, matching_b_list, uncancelled_g_ratio
+from conftest import (extremal_excess, extremal_theta, matching_b_list,
+                      uncancelled_g_ratio)
 from zktheta.asymptotics import eval_F, find_saddle, predicted_ratio_limit, ratio_report
 from zktheta.codes import search_c8, theta_cosets, theta_substitution, verify_type2
 from zktheta.extremal import (
@@ -26,7 +27,6 @@ from zktheta.extremal import (
     beta_stars,
     crossover_scan,
     eq3_value,
-    extremal_theta,
     shape,
     theorem1_sweep,
 )

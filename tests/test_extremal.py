@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (binary_power, bracket_b_list, dense_f_bracket,
-                      extremal_excess, lattice_certificate, matching_b_list,
-                      padded_certificate, w_powers)
+                      extremal_excess, extremal_theta, lattice_certificate,
+                      matching_b_list, padded_certificate, w_powers)
 from zktheta import extremal
 from zktheta.errors import (GridViolation, InvalidLength, OutOfTruncation,
                              PrecisionTooSmall)
@@ -17,13 +17,12 @@ from zktheta.extremal import (
     beta_stars,
     crossover_scan,
     eq3_value,
-    extremal_theta,
     positivity_certificate,
     profile,
     shape,
     theorem1_sweep,
 )
-from zktheta.modforms import theta1, theta_f
+from zktheta.modforms import h_series, theta1, theta_f
 from zktheta.series import (
     FracSeries,
     euler_scaled,
@@ -327,6 +326,37 @@ def test_coset_product_and_strided_dot_match_expanded(monkeypatch, k):
                         extremal._coeff_of_product(_expand(xc, k), z, e), e
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_theta_h_matches_miller_powers(k):
+    # the eta-quotient recurrence against f0^a by Miller over f0c, times
+    # h^b, on windows from one slot to the scan's 236; (24mu, mu+1) is the
+    # walk's giant theta1^(3mu) * h^(mu+1)
+    pairs = [(0, 0), (0, 1), (8, 0), (24, 1), (216, 10), (4800, 201)]
+    for T in (1, 2, 17, 61, 236):
+        for a, b in pairs:
+            want = extremal._coset_mul(power(extremal._theta0(k, T), a),
+                                       h_series(T, b), k)
+            got = extremal._theta_h(k, a, b, T)
+            assert (got.D, got.T, got.coeffs) == \
+                (want.D, want.T, want.coeffs), (T, a, b)
+
+
+def test_theta_h_checks_each_division(monkeypatch):
+    # one wrong sigma1 at slot 5 makes 5 * H_5 off a multiple of 5
+    from zktheta.modforms import _eisenstein
+
+    def bent(T, c, p):
+        return FracSeries(1, T, [c + (e == 5) for e, c in
+                                 enumerate(_eisenstein(T, c, p).coeffs)])
+
+    monkeypatch.setattr(extremal, "_eisenstein", bent)
+    assert extremal._theta_h(1, 24, 1, 5).coeffs == \
+        extremal._coset_mul(power(extremal._theta0(1, 5), 24),
+                            h_series(5), 1).coeffs
+    with pytest.raises(ArithmeticError):
+        extremal._theta_h(1, 24, 1, 6)
+
+
 def _hand_layers(mu, edit=None, k=4, T=None):
     """_verdict's arguments for hand-built positive layers cut at T
     (default mu + 2), with theta1^(j-1) = 1.
@@ -542,12 +572,12 @@ def test_b_paths_never_form_the_theta_bracket(monkeypatch):
 
 def _giant_ends(monkeypatch, run):
     """run(), and the first (r = 0) and last (r = m - 1) offset d = mu - mu0
-    read off each giant of _walk; the run must step its giant at least
-    twice, with at least three offsets per giant."""
+    read off each giant of _walk; the run must read at least three giants,
+    with at least three offsets on the first."""
     real, giants = extremal._walk, []
 
-    def spy(giant, step, factors, keyed):
-        for (d, _), item in zip(keyed, real(giant, step, factors, keyed)):
+    def spy(build, step, factors, keyed):
+        for (d, _), item in zip(keyed, real(build, step, factors, keyed)):
             if not giants or giants[-1][0] is not item[0]:
                 giants.append((item[0], []))
             giants[-1][1].append(d)
@@ -582,6 +612,52 @@ def test_crossover_scan_giant_steps(monkeypatch):
                     assert p.b == matching_b_list(r.n, k, 2), (k, r.n)
 
 
+@pytest.mark.parametrize("k", (1, 2, 6))
+def test_tail_walk_builds_each_giant_read_once(monkeypatch, k):
+    # each giant the walk reads is one _theta_h call at or below the first
+    # mu read off it, and no giant is built between two gapped lengths (two
+    # giants for [480, 4800], one per mu at m = 1 for 4800..4992); every power
+    # taken on the way is of a lacunary series (f0c, P).  Rows against the
+    # one-length route
+    from zktheta import modforms
+    built, powers, read = [], [], []
+    real_theta_h, real_walk = extremal._theta_h, extremal._walk
+
+    def theta_h(k, a, b, T):
+        built.append((a, b))
+        return real_theta_h(k, a, b, T)
+
+    def walk(giants, step, factors, keyed):
+        for (d, _), item in zip(keyed, real_walk(giants, step, factors,
+                                                 keyed)):
+            if not read or read[-1][1] is not item[0]:
+                read.append((d, item[0]))
+            yield item
+
+    def spy_power(real):
+        def counted(a, m):
+            powers.append((len(a.coeffs), len(a.nonzero_terms())))
+            return real(a, m)
+        return counted
+
+    for run, giants in (([480, 4800], 2), (list(range(4800, 4993, 8)), 9)):
+        for log in (built, powers, read):
+            log.clear()
+        monkeypatch.setattr(extremal, "_theta_h", theta_h)
+        monkeypatch.setattr(extremal, "_walk", walk)
+        monkeypatch.setattr(extremal, "power", spy_power(extremal.power))
+        monkeypatch.setattr(modforms, "power", spy_power(modforms.power))
+        rows = extremal._tail_chunk(k, run)
+        monkeypatch.undo()
+        mu0, gs = run[0] // 24, [b - 1 for _, b in built]
+        assert len(read) == len(built) == giants, run
+        assert built == [(24 * g, g + 1) for g in gs] and gs == sorted(gs)
+        assert all(mu0 <= g <= mu0 + d for g, (d, _) in zip(gs, read))
+        assert powers and all(2 * nz <= ns for ns, nz in powers), powers
+        for n in (run[0], run[-1]):
+            assert rows[run.index(n)] == _one_length(monkeypatch, k, n)[0]
+
+
 def _no_walk(monkeypatch, run):
     """run(), which must not call _walk."""
     def walk(*args):
@@ -611,11 +687,11 @@ def test_head_layer_implies_beta1_positive():
     sampled = set(range(8, 481, 56)) | {480}
     excess = {n: extremal_excess(n, ks) for n in sampled}
     for k in ks:
-        th1, cert = extremal._certificate_factors(k, 22)
+        f0c, cert = extremal._certificate_factors(k, 22)
         for n in range(8, 481, 8):
             mu = n // 24
-            head = _verdict(power(th1, n // 8 - 1), cert, k, [-1] * (k + 1),
-                            mu)[3]
+            head = _verdict(power(f0c, 8 * (n // 8 - 1)), cert, k,
+                            [-1] * (k + 1), mu)[3]
             assert head, (k, n)
             assert -matching_b_list(n, k, 1)[mu + 1] > 0, (k, n)
             if n in sampled:
@@ -723,13 +799,13 @@ def _edited_factors(edits):
     real = extremal._certificate_factors
 
     def edited(k, T):
-        th1, (bracket, fparts) = real(k, T)
+        f0c, (bracket, fparts) = real(k, T)
         layers = [bracket] + [f for _, f in fparts]
         for (i, slot), c in edits.items():
             coeffs = list(layers[i].coeffs)
             coeffs[slot] += c
             layers[i] = FracSeries(1, T, coeffs)
-        return th1, (layers[0],
+        return f0c, (layers[0],
                      [(r, f) for (r, _), f in zip(fparts, layers[1:])])
 
     return edited
@@ -763,8 +839,8 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
     monkeypatch.setattr(extremal, "_certificate_factors", edited)
     monkeypatch.setattr(extremal, "beta_stars", stars)
     ns = list(range(8, 481, 8))
-    th1, cert = edited(k, 22)
-    full = [extremal._verdict(power(th1, n // 8 - 1), cert, k,
+    f0c, cert = edited(k, 22)
+    full = [extremal._verdict(power(f0c, 8 * (n // 8 - 1)), cert, k,
                               [-1] * (k + 1), n // 24)
             for n in ns]
     verdicts = [v[0] for v in full]
@@ -783,11 +859,11 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
 
 def _spy_reads(monkeypatch):
     """Log, in order, ("dot", layer factor, slot) for each slot the sweep
-    reads, ("mul",) for each series product and ("row", n) as each length's
-    row is made."""
+    reads, ("mul",) for each series product, ("power",) for each series
+    power and ("row", n) as each length's row is made."""
     log = []
-    real_dot, real_mul, real_row = extremal._coeff_of_product, \
-        extremal.mul, extremal.Theorem1Row
+    real_dot, real_mul, real_power, real_row = extremal._coeff_of_product, \
+        extremal.mul, extremal.power, extremal.Theorem1Row
 
     def dot(x, y, e, k):
         log.append(("dot", y, e))
@@ -797,21 +873,26 @@ def _spy_reads(monkeypatch):
         log.append(("mul",))
         return real_mul(a, b)
 
+    def power(a, m):
+        log.append(("power",))
+        return real_power(a, m)
+
     def row(n, *rest):
         log.append(("row", n))
         return real_row(n, *rest)
 
     monkeypatch.setattr(extremal, "_coeff_of_product", dot)
     monkeypatch.setattr(extremal, "mul", mul)
+    monkeypatch.setattr(extremal, "power", power)
     monkeypatch.setattr(extremal, "Theorem1Row", row)
     return log
 
 
 def test_theorem1_chunk_reads_only_new_slots(monkeypatch):
     # k = 6 holds at every length to 2400: a length whose window adds no
-    # slot makes no dot and no product, and each new mu steps theta1^(j-1)
-    # once and reads one new slot per layer (the per-run factors are built
-    # before the first row)
+    # slot makes no dot, product or power, and each new mu takes
+    # theta1^(j-1) as one power of f0 and reads one new slot per layer (the
+    # per-run factors are built before the first row)
     log = _spy_reads(monkeypatch)
     rows = extremal._theorem1_chunk(6, list(range(8, 2401, 8)))
     monkeypatch.undo()
@@ -829,7 +910,7 @@ def test_theorem1_chunk_reads_only_new_slots(monkeypatch):
         if n // 24 == (n - 8) // 24:
             assert work == [], n
         else:
-            assert work == ["mul"] + ["dot"] * 7, n
+            assert work == ["power"] + ["dot"] * 7, n
 
 
 def test_theorem1_chunk_rereads_only_failing_layer(monkeypatch):
@@ -840,10 +921,10 @@ def test_theorem1_chunk_rereads_only_failing_layer(monkeypatch):
     # it was; the head layer, which holds throughout, reads each slot once
     monkeypatch.setattr(extremal, "_certificate_factors",
                         _edited_factors({(1, 1): -100}))
-    th1, cert = extremal._certificate_factors(1, 22)
+    f0c, cert = extremal._certificate_factors(1, 22)
     ns = list(range(8, 481, 8))
-    full = [_verdict(power(th1, n // 8 - 1), cert, 1, [-1, -1], n // 24)
-            for n in ns]
+    full = [_verdict(power(f0c, 8 * (n // 8 - 1)), cert, 1, [-1, -1],
+                     n // 24) for n in ns]
     log = _spy_reads(monkeypatch)
     rows = extremal._theorem1_chunk(1, ns)
     monkeypatch.undo()

@@ -194,9 +194,9 @@ def test_integral_truncation_is_an_int():
 def test_pipeline_builds_only_int_coefficients(monkeypatch):
     """Every series the production paths build holds ints only."""
     from zktheta.codes import search_c8, theta_substitution
-    from zktheta.extremal import (crossover_scan, extremal_theta,
-                                  positivity_certificate, profile,
-                                  theorem1_sweep)
+    from conftest import extremal_theta
+    from zktheta.extremal import (crossover_scan, positivity_certificate,
+                                  profile, theorem1_sweep)
     init = FracSeries.__init__
     kinds = set()
 
