@@ -10,16 +10,15 @@ import importlib
 _EXPORTS = {
     "series": ("FracSeries", "differentiate", "linear_combine", "mul",
                "power"),
-    "modforms": ("delta24", "eisenstein_e4", "h_series", "sigma3", "theta1",
-                 "theta_f"),
+    "modforms": ("eisenstein_e4", "h_series", "theta_f"),
     "extremal": ("ExtremalProfile", "PositivityReport", "b_coefficients",
                  "beta_stars", "crossover_scan", "eq3_value",
                  "positivity_certificate", "profile", "theorem1_sweep"),
     "codes": ("LinearCode", "enumerate_codewords", "euclidean_weight", "rho",
               "search_c8", "swe", "theta_cosets", "theta_substitution",
               "verify_type2"),
-    "asymptotics": ("SaddleData", "eval_F", "find_saddle",
-                    "predicted_ratio_limit", "ratio_report"),
+    "asymptotics": ("SaddleData", "find_saddle", "predicted_ratio_limit",
+                    "ratio_report"),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

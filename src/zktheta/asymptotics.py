@@ -60,14 +60,6 @@ def _F(y: mp.mpf) -> mp.mpf:
     return mp.e ** (2 * mp.pi * y + logh)
 
 
-def eval_F(y, digits: int = 30) -> mp.mpf:
-    """F(y) = e^(2*pi*y) * h(e^(-2*pi*y)) at digits + 10 working digits,
-    rounded on return to the caller's working precision."""
-    with mp.workdps(digits + 10):
-        val = _F(mp.mpf(y))
-    return +val
-
-
 def find_saddle(digits: int = 30) -> SaddleData:
     """The stationary point y0 of F and the constants c1, c2 there.
 
@@ -91,21 +83,6 @@ def find_saddle(digits: int = 30) -> SaddleData:
         return SaddleData(y0=y0, t0=t0, c1=_F(y0),
                           c2=mp.pi ** 2 * eval_e4(t0) / 3,
                           digits=digits, h_terms=_product_cutoff(t0))
-
-
-# ---------------------------------------------------------------------------
-# series evaluation helpers (exact series -> mpf at a point)
-# ---------------------------------------------------------------------------
-
-def eval_series(series, t: mp.mpf) -> mp.mpf:
-    """Evaluate a FracSeries at a numeric point (Horner on the e-grid)."""
-    base = t ** (mp.mpf(1) / series.D) if series.D > 1 else t
-    acc = mp.mpf(0)
-    for c in reversed(series.coeffs):
-        acc = acc * base
-        if c:
-            acc += c
-    return acc
 
 
 def _lambert(t: mp.mpf, p: int) -> mp.mpf:
@@ -166,13 +143,12 @@ def ratio_report(k: int, ns) -> list:
     Every length is checked before any is computed.  The exact layers are
     imported here, so `asymptotics` alone does not load them.
     """
-    from .extremal import _tail_chunk, shape
+    from .extremal import _tail_chunk, _threshold
     rows = []
-    for n, (_, mu, nu) in [(n, shape(n)) for n in ns]:
+    for n, thr in [(n, _threshold(n)) for n in ns]:
         _, b1, b2 = _tail_chunk(k, [n])[0]
         with mp.workdps(40):
             ratio = abs(mp.mpf(b2) / mp.mpf(b1))
-            thr = 24 * mu - 240 * nu + 744
             rows.append(RatioRow(n=n, ratio=+ratio, threshold=thr,
                                  margin=+(ratio - thr)))
     return rows

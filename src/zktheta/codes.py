@@ -208,14 +208,8 @@ def verify_type2(code: LinearCode) -> Type2Report:
                        d_E=min(filter(None, weights), default=0))
 
 
-class SweTable(namedtuple("SweTable", "k n counts")):
-    """counts maps a composition (n_0, ..., n_k) to its number of
-    codewords."""
-
-    __slots__ = ()
-
-    def total(self) -> int:
-        return sum(self.counts.values())
+# counts maps a composition (n_0, ..., n_k) to its number of codewords
+SweTable = namedtuple("SweTable", "k n counts")
 
 
 def swe(code: LinearCode) -> SweTable:
@@ -325,11 +319,10 @@ def _four_squares(target: int):
     return out
 
 
-# curated generator blocks; k=1 is the extended Hamming code, k=2 a code
-# equivalent to the octacode (length-8 Type II over Z4 with d_E = 8)
+# curated generator blocks; k=1 is the extended Hamming code (for k=2 the
+# first quaternionic block is a code equivalent to the octacode)
 _DATABASE = {
     1: ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)),
-    2: _quaternion_block(2, 1, 1, 1),
 }
 
 

@@ -42,10 +42,6 @@ class BadCodeFile(ZkThetaError, ValueError):
     """A code file that does not follow the 'zcode k n r' format."""
 
 
-class PrecisionTooSmall(ZkThetaError):
-    """Requested truncation too small for the requested coefficients."""
-
-
 class RangeError(ZkThetaError):
     """Residue outside [0, 2k)."""
 

@@ -186,10 +186,16 @@ def beta_stars(n: int, k: int):
     return _betas_from_b(*_tail_chunk(k, [n])[0])
 
 
+def _threshold(n: int) -> int:
+    """24*mu - 240*nu + 744 = -[t^(mu+2)] E4^(j-3(mu+1)) * Delta^(mu+1), so
+    beta2 = -b_{2(mu+2)} + b_{2(mu+1)} * threshold."""
+    _, mu, nu = shape(n)
+    return 24 * mu - 240 * nu + 744
+
+
 def _betas_from_b(n: int, b1: int, b2: int):
     """(beta1, beta2) from b1 = b_{2(mu+1)} and b2 = b_{2(mu+2)}."""
-    _, mu, nu = shape(n)
-    return -b1, -b2 + b1 * (24 * mu - 240 * nu + 744)
+    return -b1, -b2 + b1 * _threshold(n)
 
 
 def profile(n: int, k: int) -> ExtremalProfile:
@@ -260,7 +266,7 @@ def _certificate_factors(k: int, T):
 
     f0^(8j-1) = theta1^(j-1) * f0^7, so every certificate layer at n = 8j
     is theta1^(j-1) times the bracket or one of the f0^7 * B_i.  One f0
-    gives them all, theta1 = f0^8 as in modforms.theta1.
+    gives them all, theta1 = f0^8.
     """
     f0c = _theta0(k, T)
     f07c = power(f0c, 7)
@@ -284,9 +290,9 @@ def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
 
     The sweep passes the prefixes of a shorter length, with a lower power of
     theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its coefficients
-    are nonnegative and theta1(0) = 1, so a layer L whose slots 0..e are all
-    >= 0 has [t^e] theta1^d * L >= [t^e] L for d >= 0.  A held prefix is
-    such a run, so it still holds.
+    are nonnegative and its constant term is 1, so a layer L whose slots
+    0..e are all >= 0 has [t^e] theta1^d * L >= [t^e] L for d >= 0.  A held
+    prefix is such a run, so it still holds.
     """
     bracket, fparts = cert
     if min(k * th1pow.T, bracket.T, *(f.T for _, f in fparts)) <= mu + 1:

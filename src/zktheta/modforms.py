@@ -1,10 +1,9 @@
 """Constructors for the handful of q-expansions everything else consumes.
 
-All series live in t = q^2: the weight-4 Eisenstein series E4, the
-discriminant form Delta, its reciprocal eta-product h, the theta functions
-f_0..f_k attached to the residue classes of Z_2k, and theta1, the theta
-series of the lattice sqrt(2k)*Z^8.  Delta = t*P^24 and h = P^(-24)
-come from Euler's pentagonal series P = prod (1 - t^m).
+All series live in t = q^2: the Eisenstein series E4 and E6, the
+eta-product h = t/Delta = P^(-24), from Euler's pentagonal series
+P = prod (1 - t^m), and the theta functions f_0..f_k attached to the
+residue classes of Z_2k.
 """
 
 from __future__ import annotations
@@ -13,13 +12,6 @@ import math
 
 from .errors import IndexOutOfRange, InvalidModulus
 from .series import FracSeries, power
-
-
-def sigma3(m: int) -> int:
-    """Divisor function sigma_3(m) = sum of d^3 over divisors d of m."""
-    if m < 1:
-        raise ValueError("sigma3 needs m >= 1")
-    return eisenstein_e4(m + 1).coeffs[m] // 240
 
 
 def _eisenstein(T, c: int, p: int) -> FracSeries:
@@ -35,7 +27,7 @@ def _eisenstein(T, c: int, p: int) -> FracSeries:
 
 
 def eisenstein_e4(T) -> FracSeries:
-    """E4 = 1 + 240 * sum_{m>=1} sigma3(m) t^m on the integer grid."""
+    """E4 = 1 + 240 * sum_{m>=1} sigma_3(m) t^m on the integer grid."""
     return _eisenstein(T, 240, 3)
 
 
@@ -53,11 +45,6 @@ def _euler(T) -> FracSeries:
         terms[g * (3 * g - 1) // 2] = terms[g * (3 * g + 1) // 2] = (-1) ** g
         g += 1
     return FracSeries.from_terms(1, T, terms)
-
-
-def delta24(T) -> FracSeries:
-    """Delta = t * prod_{m>=1} (1 - t^m)^24, truncated at T."""
-    return FracSeries(1, T, [0] + power(_euler(T), 24).coeffs)
 
 
 def h_series(T, s: int = 1) -> FracSeries:
@@ -95,13 +82,3 @@ def theta_f(k: int, i: int, T) -> FracSeries:
     one that makes swe_C8(f_0, ..., f_k) = E4 come out exactly.
     """
     return FracSeries.from_terms(4 * k, T, dict(theta_terms(k, i, T)))
-
-
-def theta1(k: int, T) -> FracSeries:
-    """Theta series of sqrt(2k)*Z^8 on the integer grid.
-
-    Computed as f_0^8 with f_0 = theta_f(k, 0, .) re-gridded to D = 1 first
-    (GridViolation if a term sat off t^Z).  The coefficient of t^m counts
-    x in Z^8 with k * sum(x_i^2) = m.
-    """
-    return power(theta_f(k, 0, T).regrid(1), 8)

@@ -17,24 +17,77 @@ def pytest_terminal_summary(terminalreporter):
 def brute_force_r8(m_max: int):
     """Counts of x in Z^8 with sum(x_i^2) = m, for m = 0..m_max.
 
-    Independent oracle for theta1: plain box enumeration, no series math.
+    Independent oracle for theta1: plain enumeration, no series math.  The
+    points of Z^2 are counted by norm one by one, and Z^4, Z^8 by pairing
+    those counts: (2b+1)^2 points instead of (2b+1)^8, b = isqrt(m_max).
     """
     import math
 
     bound = math.isqrt(m_max)
     counts = [0] * (m_max + 1)
-    vals = range(-bound, bound + 1)
-    # Z^4 counts convolved with themselves: 9^4 work instead of 9^8
-    quad = {}
-    for x in itertools.product(vals, repeat=4):
-        s = sum(v * v for v in x)
-        if s <= m_max:
-            quad[s] = quad.get(s, 0) + 1
-    for s1, c1 in quad.items():
-        for s2, c2 in quad.items():
-            if s1 + s2 <= m_max:
-                counts[s1 + s2] += c1 * c2
+    for x, y in itertools.product(range(-bound, bound + 1), repeat=2):
+        if x * x + y * y <= m_max:
+            counts[x * x + y * y] += 1
+    for _ in range(2):
+        counts = [sum(counts[a] * counts[m - a] for a in range(m + 1))
+                  for m in range(m_max + 1)]
     return counts
+
+
+def brute_theta1(k: int, T: int):
+    """[t^m] theta1 for m < T, theta1 the theta series of sqrt(2k)*Z^8:
+    r8(m/k) where k divides m, else 0, from brute_force_r8."""
+    r8 = brute_force_r8((T - 1) // k)
+    return [r8[m // k] if m % k == 0 else 0 for m in range(T)]
+
+
+def brute_delta(T: int):
+    """[t^m] Delta for m < T: direct convolution expansion of
+    t * prod (1 - t^m)^24, one factor (1 - t^m) at a time."""
+    prod = [1] + [0] * (T - 2)
+    for m in range(1, T - 1):
+        for _ in range(24):
+            nxt = list(prod)
+            for e in range(len(prod)):
+                if prod[e] and e + m < len(prod):
+                    nxt[e + m] -= prod[e]
+            prod = nxt
+    return [0] + prod
+
+
+def qp_F(y, digits: int):
+    """F(y) = 1/Delta(t) = 1/(t * qp(t)^24), t = e^(-2*pi*y), with mpmath's
+    q-Pochhammer symbol qp(t) = prod (1 - t^m), at digits + 10 working
+    digits, rounded on return to the caller's working precision.
+
+    Oracle for asymptotics._F, which sums the logarithm of Euler's product
+    up to its own cutoff.
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits + 10):
+        t = mp.exp(-2 * mp.pi * mp.mpf(y))
+        val = 1 / (t * mp.qp(t) ** 24)
+    return +val
+
+
+def F_at(y, digits: int):
+    """asymptotics._F(y) at `digits` working digits."""
+    import mpmath as mp
+
+    from zktheta.asymptotics import _F
+
+    with mp.workdps(digits):
+        return _F(mp.mpf(y))
+
+
+def expand_u(xc, k: int):
+    """X with X(t) = xc(t^k), every slot of the integer grid stored."""
+    from zktheta.series import FracSeries
+
+    out = [0] * (k * len(xc.coeffs))
+    out[::k] = xc.coeffs
+    return FracSeries(1, k * xc.T, out)
 
 
 def monomial(coeff, exponent, T, D: int = 1):
@@ -120,11 +173,11 @@ def bracket_b_list(n: int, k: int, extra: int, wpows: list):
     [t^s] R * w^s with R = theta1^(j-1) * B * E4^(-j-1); wpows is
     w_powers(T) for any T > mu + extra.
     """
-    from zktheta.modforms import eisenstein_e4, theta1
-    from zktheta.series import mul, power
+    from zktheta.modforms import eisenstein_e4
+    from zktheta.series import FracSeries, mul, power
 
     j, N = n // 8, n // 24 + extra + 1
-    th1, e4 = theta1(k, N), eisenstein_e4(N)
+    th1, e4 = FracSeries(1, N, brute_theta1(k, N)), eisenstein_e4(N)
     r = mul(mul(power(th1, j - 1), dense_theta_bracket(th1, e4)),
             power(e4, -j - 1)).coeffs
     out = [1]
@@ -145,13 +198,14 @@ def matching_b_list(n: int, k: int, extra: int):
     starts at t^s with coefficient b_{2s}.  That gives G_k, the b-list of
     n = 8; substituting u is a ring map, so the b-list of n = 8j is G_k^j.
     """
-    from zktheta.modforms import delta24, eisenstein_e4, theta1
+    from zktheta.modforms import eisenstein_e4
     from zktheta.series import FracSeries, mul, power
 
     N = n // 24 + extra + 1
     e4 = eisenstein_e4(N)
-    u = mul(delta24(N), power(e4, -3))
-    resid = list(mul(theta1(k, N), power(e4, -1)).coeffs)
+    u = mul(FracSeries(1, N, brute_delta(N)), power(e4, -3))
+    resid = list(mul(FracSeries(1, N, brute_theta1(k, N)),
+                     power(e4, -1)).coeffs)
     upow = FracSeries.constant(1, N)
     g = []
     for s in range(N):
@@ -162,23 +216,20 @@ def matching_b_list(n: int, k: int, extra: int):
     return power(FracSeries(1, N, g), n // 8).coeffs
 
 
-def extremal_theta(n: int, k: int, T):
+def extremal_theta(n: int, k: int, T: int):
     """sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, truncated at T: the putative
     extremal theta series, summed as E4^j * sum_s b_{2s} u^s with
-    u = Delta * E4^(-3), by Horner, from extremal.b_coefficients."""
-    from fractions import Fraction
-
-    from zktheta.errors import PrecisionTooSmall
+    u = Delta * E4^(-3), by Horner, from extremal.b_coefficients and
+    brute_delta."""
     from zktheta.extremal import b_coefficients, shape
-    from zktheta.modforms import delta24, eisenstein_e4
+    from zktheta.modforms import eisenstein_e4
     from zktheta.series import FracSeries, mul, power
 
     j, mu, _ = shape(n)
-    T = Fraction(T)
     if T <= mu + 2:
-        raise PrecisionTooSmall(f"need T > mu+2 = {mu + 2}, got {T}")
+        raise ValueError(f"need T > mu+2 = {mu + 2}, got {T}")
     e4 = eisenstein_e4(T)
-    u = mul(delta24(T), power(e4, -3))
+    u = mul(FracSeries(1, T, brute_delta(T)), power(e4, -3))
     acc = FracSeries.constant(0, T)
     for bs in reversed(b_coefficients(n, k)):
         acc = mul(acc, u) + bs
@@ -267,24 +318,25 @@ def uncancelled_g_ratio(t0):
     G1 = E4^2 * core and G2 = E4^5 * core with core = theta1^(j-1) *
     (theta bracket) * h at j = 30, k = 1, nu = 0; the product cutoff T
     doubles from 160 until two values agree to 1e-12.  Equals E4(t0)^3 when
-    the shared factors cancel as the asymptotics assume.
+    the shared factors cancel as the asymptotics assume.  Each series is
+    summed at t0 by mpmath's Horner rule, polyval.
     """
     import mpmath as mp
 
-    from zktheta.asymptotics import eval_series
-    from zktheta.modforms import eisenstein_e4, h_series, theta1
-    from zktheta.series import mul, power
+    from zktheta.modforms import eisenstein_e4, h_series
+    from zktheta.series import FracSeries, mul, power
 
     j = 30
     with mp.workdps(40):
         prev = None
         for T in (160, 320, 640):
             # the bracket carries a factor t, which cancels in the ratio
-            th1, e4 = theta1(1, T), eisenstein_e4(T)
+            th1 = FracSeries(1, T, brute_theta1(1, T))
+            e4 = eisenstein_e4(T)
             core = mul(mul(power(th1, j - 1), dense_theta_bracket(th1, e4)),
                        h_series(T))
-            ratio = (eval_series(mul(power(e4, 5), core), t0)
-                     / eval_series(mul(power(e4, 2), core), t0))
+            ratio = (mp.polyval(mul(power(e4, 5), core).coeffs[::-1], t0)
+                     / mp.polyval(mul(power(e4, 2), core).coeffs[::-1], t0))
             if prev is not None and abs(ratio / prev - 1) < mp.mpf("1e-12"):
                 break
             prev = ratio
@@ -304,12 +356,12 @@ def padded_certificate(n: int, k: int):
     """
     from fractions import Fraction
 
-    from zktheta.modforms import eisenstein_e4, theta1, theta_f
-    from zktheta.series import euler_scaled, linear_combine, mul
+    from zktheta.modforms import eisenstein_e4, theta_f
+    from zktheta.series import FracSeries, euler_scaled, linear_combine, mul
 
     j, mu = n // 8, n // 24
     T, D = mu + 2, 4 * k
-    th1 = theta1(k, T)
+    th1 = FracSeries(1, T, brute_theta1(k, T))
     bracket = dense_theta_bracket(th1, eisenstein_e4(T))
     s1 = mul(binary_power(th1, j - 1), bracket)
     head = [s1.coeff_index(e) for e in range(1, mu + 2)]

@@ -18,9 +18,9 @@ from fractions import Fraction
 import mpmath as mp
 
 import conftest
-from conftest import (extremal_excess, extremal_theta, matching_b_list,
-                      uncancelled_g_ratio)
-from zktheta.asymptotics import eval_F, find_saddle, predicted_ratio_limit, ratio_report
+from conftest import (F_at, brute_theta1, extremal_excess, extremal_theta,
+                      matching_b_list, qp_F, uncancelled_g_ratio)
+from zktheta.asymptotics import find_saddle, predicted_ratio_limit, ratio_report
 from zktheta.codes import search_c8, theta_cosets, theta_substitution, verify_type2
 from zktheta.extremal import (
     b_coefficients,
@@ -30,7 +30,7 @@ from zktheta.extremal import (
     shape,
     theorem1_sweep,
 )
-from zktheta.modforms import eisenstein_e4, h_series, theta1
+from zktheta.modforms import eisenstein_e4, h_series
 from zktheta.series import FracSeries, differentiate, mul, power
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -70,7 +70,7 @@ def test_criterion_3_assembly_consistency():
             _, mu, _ = shape(n)
             T = mu + 3
             th = extremal_theta(n, k, T)
-            th0 = power(theta1(k, T), n // 8)
+            th0 = power(FracSeries(1, T, brute_theta1(k, T)), n // 8)
             beta1, beta2 = beta_stars(n, k)
             head_ok = all(th.coeff_index(e) == th0.coeff_index(e)
                           for e in range(mu + 1))
@@ -156,14 +156,15 @@ def test_criterion_6_construction_a():
 def test_criterion_7_saddle_data(tmp_path):
     sd = find_saddle(30)
     basic = sd.c2 > 0 and 0 < sd.y0 < 1
-    # eval_F rounds to the caller's precision, so the difference is taken
-    # at 45 digits; at the default 15 it would be 0 near y0
+    # F'(y0) from the q-Pochhammer oracle, which rounds to the caller's
+    # precision, so the difference is taken at 45 digits; at the default 15
+    # it would be 0 near y0.  The functional equation is asked of _F
     with mp.workdps(45):
         h = mp.mpf("1e-12")
-        deriv = (eval_F(sd.y0 + h, 40) - eval_F(sd.y0 - h, 40)) / (2 * h)
+        deriv = (qp_F(sd.y0 + h, 40) - qp_F(sd.y0 - h, 40)) / (2 * h)
         stationary = abs(deriv) < mp.mpf("1e-12") * sd.c1
         y = mp.mpf("1.3")
-        feq = abs(eval_F(1 / y, 40) / (y ** -12 * eval_F(y, 40)) - 1) < mp.mpf("1e-9")
+        feq = abs(F_at(1 / y, 40) / (y ** -12 * F_at(y, 40)) - 1) < mp.mpf("1e-9")
     limit = predicted_ratio_limit(sd)
     # limit / c1 = E4(t0)^3 against the uncancelled finite-j G2/G1
     direct = uncancelled_g_ratio(sd.t0)

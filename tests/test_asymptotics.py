@@ -3,11 +3,9 @@ import random
 import mpmath as mp
 import pytest
 
-from conftest import uncancelled_g_ratio
+from conftest import F_at, qp_F, uncancelled_g_ratio
 from zktheta.asymptotics import (
-    eval_F,
     eval_e4,
-    eval_series,
     find_saddle,
     predicted_ratio_limit,
     ratio_report,
@@ -23,30 +21,30 @@ def sd():
 
 def test_F_large_y_tends_to_exponential():
     # h(t) -> 1 as t -> 0, so F(y)/e^(2*pi*y) -> 1 from above
-    r = eval_F(5, 30) / mp.e ** (10 * mp.pi)
+    r = F_at(5, 30) / mp.e ** (10 * mp.pi)
     assert 1 < r < mp.mpf("1.00001")
 
 
 def test_F_at_one():
-    v = eval_F(1, 30)
+    v = F_at(1, 30)
     assert abs(v / mp.mpf("560.108") - 1) < mp.mpf("1e-3")
 
 
 def test_F_domain():
     with pytest.raises(DomainError):
-        eval_F(0, 30)
+        F_at(0, 30)
 
 
 def test_F_functional_equation():
     # Delta(iy) = 1/F(y), so Delta's modularity gives F(y) = y^12 * F(1/y)
     with mp.workdps(45):
         y = mp.mpf("1.3")
-        err = abs(eval_F(y, 40) / (y ** 12 * eval_F(1 / y, 40)) - 1)
+        err = abs(F_at(y, 40) / (y ** 12 * F_at(1 / y, 40)) - 1)
     assert err < mp.mpf("1e-30")
     rng = random.Random(11)
     for _ in range(10):
         y = mp.mpf(rng.uniform(0.3, 3.0))
-        lhs, rhs = eval_F(y, 40), y ** 12 * eval_F(1 / y, 40)
+        lhs, rhs = F_at(y, 40), y ** 12 * F_at(1 / y, 40)
         assert abs(lhs / rhs - 1) < mp.mpf("1e-9")
 
 
@@ -54,11 +52,12 @@ def test_saddle_invariants(sd):
     assert 0 < sd.y0 < 1
     assert sd.c1 > 0
     assert sd.c2 > 0
-    # eval_F rounds to the caller's precision: at the default 15 digits
-    # F(y0 + h) and F(y0 - h) would round to one value
+    # F from the q-Pochhammer oracle, which rounds to the caller's
+    # precision: at the default 15 digits F(y0 + h) and F(y0 - h) would
+    # round to one value
     with mp.workdps(45):
         h = mp.mpf("1e-12")
-        deriv = (eval_F(sd.y0 + h, 40) - eval_F(sd.y0 - h, 40)) / (2 * h)
+        deriv = (qp_F(sd.y0 + h, 40) - qp_F(sd.y0 - h, 40)) / (2 * h)
         assert abs(deriv) < mp.mpf("1e-8") * sd.c1
 
 
@@ -68,9 +67,9 @@ def test_saddle_stationarity_check_detects_offset(sd):
     y = sd.y0 + mp.mpf("1e-9")
     h = mp.mpf("1e-12")
     with mp.workdps(45):
-        deriv = (eval_F(y + h, 40) - eval_F(y - h, 40)) / (2 * h)
+        deriv = (qp_F(y + h, 40) - qp_F(y - h, 40)) / (2 * h)
         assert abs(deriv) > mp.mpf("1e-8") * sd.c1
-    assert eval_F(y + h, 40) == eval_F(y - h, 40)
+    assert qp_F(y + h, 40) == qp_F(y - h, 40)
 
 
 def test_saddle_location(sd):
@@ -96,21 +95,23 @@ def test_saddle_digit_doubling(sd):
 
 @pytest.mark.parametrize("d", [30, 60])
 def test_saddle_digits_vs_F_oracle(d):
-    # eval_F alone, at 3d working digits: F'(y0) by a central difference
-    # of step 10^-d, and F(y0) against c1
+    # the q-Pochhammer oracle alone, at 3d working digits: F'(y0) by a
+    # central difference of step 10^-d, and F(y0) against c1 = _F(y0)
     sd = find_saddle(d)
     with mp.workdps(3 * d):
         h = mp.mpf(10) ** -d
-        fp = (eval_F(sd.y0 + h, 3 * d) - eval_F(sd.y0 - h, 3 * d)) / (2 * h)
-        f0 = eval_F(sd.y0, 3 * d)
+        fp = (qp_F(sd.y0 + h, 3 * d) - qp_F(sd.y0 - h, 3 * d)) / (2 * h)
+        f0 = qp_F(sd.y0, 3 * d)
         assert abs(fp) / f0 < mp.mpf(10) ** -d
         assert abs(f0 / sd.c1 - 1) < mp.mpf(10) ** -d
 
 
 def test_eval_series_matches_polynomial(sd):
+    # the exact E4 summed at t0 by mpmath's Horner rule against the
+    # Lambert series
     t0 = sd.t0
     e4 = eisenstein_e4(200)
-    poly = eval_series(e4, t0)
+    poly = mp.polyval(e4.coeffs[::-1], t0)
     assert abs(poly - eval_e4(t0)) < mp.mpf("1e-25")
 
 

@@ -88,12 +88,12 @@ def test_verify_rejects_identity_rows():
 def test_swe_hamming():
     table = swe(hamming8())
     assert table.counts == {(8, 0): 1, (4, 4): 14, (0, 8): 1}
-    assert table.total() == 16
+    assert sum(table.counts.values()) == 16
 
 
 def test_swe_total_matches_cardinality():
     code = octacode_like()
-    assert swe(code).total() == 4 ** 4
+    assert sum(swe(code).counts.values()) == 4 ** 4
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -292,7 +292,7 @@ def test_non_free_code_counts_each_word_once():
     assert len(list(enumerate_codewords(code))) == 4
     table = swe(code)
     assert table.counts == {(8, 0, 0): 1, (6, 0, 2): 1}
-    assert table.total() == 2
+    assert sum(table.counts.values()) == 2
     direct = theta_cosets(code, 2)
     assert direct.nonzero_terms()[0] == (0, 1)
     assert direct == theta_substitution(code, direct.T)

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (binary_power, bracket_b_list, dense_f_bracket,
-                      extremal_excess, extremal_theta, lattice_certificate,
-                      matching_b_list, padded_certificate, w_powers)
+from conftest import (binary_power, bracket_b_list, brute_theta1,
+                      dense_f_bracket, expand_u, extremal_excess,
+                      extremal_theta, lattice_certificate, matching_b_list,
+                      padded_certificate, w_powers)
 from zktheta import extremal
-from zktheta.errors import (GridViolation, InvalidLength, OutOfTruncation,
-                             PrecisionTooSmall)
+from zktheta.errors import GridViolation, InvalidLength, OutOfTruncation
 from zktheta.extremal import (
     _verdict,
     b_coefficients,
@@ -22,7 +22,7 @@ from zktheta.extremal import (
     shape,
     theorem1_sweep,
 )
-from zktheta.modforms import h_series, theta1, theta_f
+from zktheta.modforms import h_series, theta_f
 from zktheta.series import (
     FracSeries,
     euler_scaled,
@@ -95,13 +95,13 @@ def test_extremal_theta_coefficient_splits():
 def test_extremal_theta_matches_theta0_prefix():
     n, k = 24, 1
     th = extremal_theta(n, k, 6)
-    th0 = power(theta1(k, 6), 3)
+    th0 = power(FracSeries(1, 6, brute_theta1(k, 6)), 3)
     for e in range(2):
         assert th.coeff_index(e) == th0.coeff_index(e)
 
 
 def test_extremal_theta_precision_guard():
-    with pytest.raises(PrecisionTooSmall):
+    with pytest.raises(ValueError, match=r"need T > mu\+2"):
         extremal_theta(24, 1, 3)
 
 
@@ -110,7 +110,7 @@ def test_assembly_consistency(n, k):
     _, mu, _ = shape(n)
     T = mu + 4
     th = extremal_theta(n, k, T)
-    th0 = power(theta1(k, T), n // 8)
+    th0 = power(FracSeries(1, T, brute_theta1(k, T)), n // 8)
     beta1, beta2 = beta_stars(n, k)
     for e in range(mu + 1):
         assert th.coeff_index(e) == th0.coeff_index(e)
@@ -209,8 +209,8 @@ def test_f_bracket_off_coset_raises(monkeypatch):
 
 def _theta_f_calls(monkeypatch, run):
     """The index i of every f_i that run() builds: every theta_terms call,
-    which theta_f makes too; modforms.theta1 would build its own f0, so both
-    bindings are watched."""
+    which theta_f makes too through its own binding, so both bindings are
+    watched."""
     from zktheta import modforms
 
     calls, real = [], modforms.theta_terms
@@ -257,20 +257,13 @@ def test_f_bracket_matches_dense_grid_oracle():
                     (want_r, want.D, want.T, want.coeffs), (k, i, T)
 
 
-def _expand(xc, k):
-    """X with X(t) = xc(t^k), every slot of the integer grid stored."""
-    out = [0] * (k * len(xc.coeffs))
-    out[::k] = xc.coeffs
-    return FracSeries(1, k * xc.T, out)
-
-
 def test_theta0_is_f0_on_its_coset():
     # f0(t) = f0c(t^k), and f0c is Jacobi's theta3 whatever k is
     for k in range(1, 7):
         for T in (1, 2, 7, 30):
             f0, f0c = theta_f(k, 0, T), extremal._theta0(k, T)
             assert f0c.T == -(-T // k)
-            assert _expand(f0c, k).coeffs[:T] == f0.regrid(1).coeffs
+            assert expand_u(f0c, k).coeffs[:T] == f0.regrid(1).coeffs
             assert f0c.coeffs == theta_f(1, 0, f0c.T).regrid(1).coeffs
 
 
@@ -304,7 +297,7 @@ def test_coset_product_and_strided_dot_match_expanded(monkeypatch, k):
             z = FracSeries(1, ns, draw(ns))
             for tx in (-(-ns // k), -(-ns // k) + 3, ns // k - 2):
                 xc = FracSeries(1, tx, draw(tx))
-                want = mul(_expand(xc, k), z)
+                want = mul(expand_u(xc, k), z)
                 for name in kernels:
                     monkeypatch.setattr(series, name, spy(name))
                 got = extremal._coset_mul(xc, z, k)
@@ -323,7 +316,7 @@ def test_coset_product_and_strided_dot_match_expanded(monkeypatch, k):
                           len(want.coeffs) - 1]:
                     dot = extremal._coeff_of_product(xc, z, e, k)
                     assert dot == want.coeffs[e] == \
-                        extremal._coeff_of_product(_expand(xc, k), z, e), e
+                        extremal._coeff_of_product(expand_u(xc, k), z, e), e
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -2,24 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coeff_at
+from conftest import brute_delta, brute_theta1, coeff_at, expand_u
 from zktheta.errors import IndexOutOfRange
-from zktheta.modforms import (
-    delta24,
-    eisenstein_e4,
-    h_series,
-    sigma3,
-    theta1,
-    theta_f,
-)
+from zktheta.extremal import _theta0
+from zktheta.modforms import eisenstein_e4, h_series, theta_f
 from zktheta.series import FracSeries, mul, power
 
 
+def sigma3(m):
+    """sum of d^3 over the divisors d of m, one trial division per d."""
+    return sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+
+
 def test_sigma3_small():
-    assert sigma3(1) == 1
-    assert sigma3(2) == 9
-    assert sigma3(4) == 73
-    assert sigma3(5) == 126
+    # E4's sieve against divisor sums, slot by slot
+    assert [sigma3(m) for m in (1, 2, 4, 5)] == [1, 9, 73, 126]
+    assert eisenstein_e4(60).coeffs[1:] == \
+        [240 * sigma3(m) for m in range(1, 60)]
 
 
 def test_e4_leading_coefficients():
@@ -32,28 +31,6 @@ def test_e4_coefficient_formula():
 
 def test_e4_constant_only():
     assert eisenstein_e4(1).coeffs == [1]
-
-
-def brute_delta(T):
-    """Direct convolution expansion of t * prod (1 - t^m)^24."""
-    prod = [1] + [0] * (T - 2)
-    for m in range(1, T - 1):
-        for _ in range(24):
-            nxt = list(prod)
-            for e in range(len(prod)):
-                if prod[e] and e + m < len(prod):
-                    nxt[e + m] -= prod[e]
-            prod = nxt
-    return [0] + prod
-
-
-def test_delta_against_convolution_oracle():
-    assert delta24(8).coeffs == brute_delta(8)
-    assert delta24(8).coeffs[1:5] == [1, -24, 252, -1472]
-
-
-def test_delta_no_constant():
-    assert coeff_at(delta24(6), 0) == 0
 
 
 def test_h_leading_coefficients():
@@ -112,11 +89,12 @@ def test_theta_f_support_is_squares():
 
 
 def test_theta1_counts_k1(r8_counts):
-    assert theta1(1, 13).coeffs == r8_counts[:13]
+    # theta1 = f0^8, as extremal takes it from f0c
+    assert power(_theta0(1, 13), 8).coeffs == r8_counts[:13]
 
 
 def test_theta1_counts_k2(r8_counts):
-    t = theta1(2, 13)
+    t = expand_u(power(_theta0(2, 13), 8), 2)
     for m in range(13):
         expected = r8_counts[m // 2] if m % 2 == 0 else 0
         assert t.coeff_index(m) == expected
@@ -124,9 +102,10 @@ def test_theta1_counts_k2(r8_counts):
 
 def test_theta1_constant_term():
     for k in range(1, 7):
-        assert theta1(k, 3).coeff_index(0) == 1
+        assert power(_theta0(k, 3), 8).coeff_index(0) == 1
 
 
 def test_theta1_equals_f0_pow8():
     for k in (1, 3):
-        assert power(theta_f(k, 0, 6), 8) == theta1(k, 6).regrid(4 * k)
+        theta1 = FracSeries(1, 6, brute_theta1(k, 6))
+        assert power(theta_f(k, 0, 6), 8) == theta1.regrid(4 * k)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_power, coeff_at, monomial
+from conftest import (binary_power, brute_delta, brute_theta1, coeff_at,
+                      monomial)
 from zktheta import series
 from zktheta.errors import (
     GridViolation,
@@ -14,7 +15,8 @@ from zktheta.errors import (
     OutOfTruncation,
     ZeroConstantTerm,
 )
-from zktheta.modforms import delta24, eisenstein_e4, h_series, theta1
+from zktheta.extremal import _theta0
+from zktheta.modforms import eisenstein_e4, h_series
 from zktheta.series import (
     FracSeries,
     differentiate,
@@ -35,11 +37,11 @@ def test_linear_combine_cancellation():
 
 def test_linear_combine_identity():
     e4 = eisenstein_e4(10)
-    assert linear_combine(e4, delta24(10), 1, 0) == e4
+    assert linear_combine(e4, h_series(10), 1, 0) == e4
 
 
 def test_linear_combine_e4_minus_theta0():
-    diff = eisenstein_e4(5) - theta1(1, 5)
+    diff = eisenstein_e4(5) - FracSeries(1, 5, brute_theta1(1, 5))
     assert coeff_at(diff, 1) == 240 - 16 == 224
 
 
@@ -48,7 +50,8 @@ def test_mul_basic():
 
 
 def test_mul_delta_h_is_t():
-    prod = mul(delta24(30), h_series(30))
+    # h_series against Delta expanded independently
+    prod = mul(FracSeries(1, 30, brute_delta(30)), h_series(30))
     assert prod == monomial(1, 1, 30)
 
 
@@ -62,8 +65,8 @@ def test_pow_binomial():
 
 
 def test_pow_f0_eighth(r8_counts):
-    # theta1(1) = f_0(k=1)^8 counts lattice vectors of Z^8 by norm
-    t1 = theta1(1, 4)
+    # theta1 = f0c^8 at k = 1 counts lattice vectors of Z^8 by norm
+    t1 = power(_theta0(1, 4), 8)
     assert t1.coeffs == r8_counts[:4] == [1, 16, 112, 448]
 
 
@@ -84,7 +87,7 @@ def test_invert_e4():
 
 def test_invert_delta_raises():
     with pytest.raises(ZeroConstantTerm):
-        power(delta24(10), -1)
+        power(FracSeries(1, 10, brute_delta(10)), -1)
 
 
 def test_invert_non_unit_constant_raises():
@@ -132,7 +135,7 @@ def test_differentiate_negative_exponent_raises():
 def test_coeff_at_examples():
     assert coeff_at(eisenstein_e4(10), 1) == 240
     assert coeff_at(poly(1, -1), 2) == 0
-    assert coeff_at(delta24(10), 4) == -1472
+    assert coeff_at(FracSeries(1, 10, brute_delta(10)), 4) == -1472
 
 
 def test_coeff_at_beyond_truncation():
