@@ -163,13 +163,24 @@ class Type2Report(namedtuple("Type2Report",
         }
 
 
+def _column_sums(buf: bytes, n: int, w: int) -> memoryview:
+    """The sum of each word's n byte entries in buf, as w-byte fields: the n
+    columns are spread into w-byte fields and added as integers."""
+    order, low = sys.byteorder, 0 if sys.byteorder == "little" else w - 1
+    wide, total = bytearray(len(buf) // n * w), 0
+    for j in range(n):
+        wide[low::w] = buf[j::n]
+        total += int.from_bytes(wide, order)
+    return memoryview(total.to_bytes(len(wide), order)).cast(
+        "H" if w == 2 else "I")
+
+
 def _weights(code: LinearCode) -> Counter:
     """Counter of the Euclidean weights of the enumerated words.
 
     For k <= 15, rho^2 fits a byte: each block is translated to rho^2 and
-    its n columns are summed as integers of 2-byte fields, or of 4-byte
-    ones when the largest weight n*k^2 reaches 2^16.  Larger k sums each
-    word.
+    its columns summed (_column_sums) in 2-byte fields, or 4-byte ones when
+    the largest weight n*k^2 reaches 2^16.  Larger k sums each word.
     """
     k, m, n = code.k, code.modulus, code.n
     if k > 15:
@@ -177,16 +188,9 @@ def _weights(code: LinearCode) -> Counter:
                        for word in enumerate_codewords(code))
     sq = bytes(rho(k, x) ** 2 if x < m else 0 for x in range(256))
     w = 2 if n * k * k < 1 << 16 else 4
-    order, low = sys.byteorder, 0 if sys.byteorder == "little" else w - 1
     weights = Counter()
     for fields in _blocks(code):
-        buf = fields.obj.translate(sq)
-        wide, total = bytearray(len(buf) // n * w), 0
-        for j in range(n):
-            wide[low::w] = buf[j::n]
-            total += int.from_bytes(wide, order)
-        weights.update(memoryview(total.to_bytes(len(wide), order)).cast(
-            "H" if w == 2 else "I"))
+        weights.update(_column_sums(fields.obj.translate(sq), n, w))
     return weights
 
 
@@ -214,45 +218,72 @@ SweTable = namedtuple("SweTable", "k n counts")
 
 def swe(code: LinearCode) -> SweTable:
     """Symmetrized weight enumerator: each word counted under the (k+1)-tuple
-    of its entry counts per |rho| class 0..k, which is the output format."""
-    k = code.k
+    of its entry counts per |rho| class 0..k, which is the output format.
+
+    For 2k <= 128 the entries are bytes: translated to the indicator of
+    class c >= 1, a block's column sums (_column_sums) are every word's
+    count of class c, and class 0 takes the rest of n.  Wider entries are
+    counted word by word.
+    """
+    k, m, n = code.k, code.modulus, code.n
     counts = Counter()
-    for w in enumerate_codewords(code):
-        comp = [0] * (k + 1)
-        for x in w:
-            comp[abs(rho(k, x))] += 1
-        counts[tuple(comp)] += 1
-    kernel = counts[(code.n,) + (0,) * k]  # combinations giving the zero word
-    return SweTable(k=k, n=code.n,
+    if m > 128:
+        for word in enumerate_codewords(code):
+            comp = [0] * (k + 1)
+            for x in word:
+                comp[min(x, m - x)] += 1
+            counts[tuple(comp)] += 1
+    else:
+        w = 2 if n < 1 << 16 else 4
+        marks = [bytes(min(x, m - x) == c for x in range(m)) + bytes(256 - m)
+                 for c in range(1, k + 1)]
+        for fields in _blocks(code):
+            counts.update(zip(*[_column_sums(fields.obj.translate(mark), n, w)
+                                for mark in marks]))
+        counts = {(n - sum(c),) + c: v for c, v in counts.items()}
+    kernel = counts[(n,) + (0,) * k]  # combinations giving the zero word
+    return SweTable(k=k, n=n,
                     counts={c: v // kernel for c, v in counts.items()})
 
 
-def theta_substitution(code: LinearCode, T) -> FracSeries:
-    """Theta series of A_2k(C) by substituting f_i into the swe."""
+def theta_substitution(code: LinearCode, T: int) -> dict:
+    """Theta series of A_2k(C) by substituting f_i into the swe, as {r: S_r}
+    with theta = sum_r t^(r/4k) * S_r, each S_r on the integer grid, cut
+    at T.
+
+    With f_i = t^(r_i/4k) * g_i (modforms.theta_f), a swe monomial
+    prod f_i^(m_i) is t^(R/4k) * prod g_i^(m_i), R = sum m_i * r_i: a shift
+    by R // 4k slots on the coset R mod 4k.  R = sum m_i * i^2 mod 4k is the
+    word's Euclidean weight mod 4k, so a Type II code gives {0: E4}.
+    """
     from .modforms import theta_f
     from .series import FracSeries, mul, power
-    k = code.k
+    k, D = code.k, 4 * code.k
     table = swe(code)
     fs = [theta_f(k, i, T) for i in range(k + 1)]
-    pows = {(i, mult): power(fs[i], mult)
+    pows = {(i, mult): power(fs[i][1], mult)
             for comp in table.counts for i, mult in enumerate(comp) if mult}
-    acc = None
+    out = {}
     for comp, cnt in sorted(table.counts.items()):
-        term = FracSeries.constant(cnt, T, 4 * k)
+        shift, r = divmod(sum(mult * fs[i][0]
+                              for i, mult in enumerate(comp)), D)
+        term = FracSeries.from_terms(T, {shift: cnt})
         for i, mult in enumerate(comp):
             if mult:
                 term = mul(term, pows[i, mult])
-        acc = term if acc is None else acc + term
-    return acc
+        out[r] = out[r] + term if r in out else term
+    return out
 
 
-def theta_cosets(code: LinearCode, norm_cap: int) -> FracSeries:
+def theta_cosets(code: LinearCode, norm_cap: int) -> dict:
     """Theta series of A_2k(C) up to lattice norm norm_cap, by direct
-    enumeration of rho(c) + 2k*Z^n vectors (independent of the swe route).
+    enumeration of rho(c) + 2k*Z^n vectors (independent of the swe route),
+    as {r: S_r} like theta_substitution.
 
-    Exponents are t^(norm/2); grid denominator 4k.
+    A vector v has norm |v|^2/2k and term t^(|v|^2/4k): slot |v|^2 // 4k of
+    coset r = |v|^2 mod 4k.  S_r is cut past its last slot of norm at most
+    norm_cap.
     """
-    from fractions import Fraction
     from .series import FracSeries
     k, m = code.k, code.modulus
     if norm_cap > 12:
@@ -276,10 +307,12 @@ def theta_cosets(code: LinearCode, norm_cap: int) -> FracSeries:
 
     for w in enumerate_codewords(code):
         dfs(w, 0, 0)
-    T = Fraction(norm_cap, 2) + Fraction(1, 4 * k)
     # norm 0 comes only from the zero word, once per kernel element
-    return FracSeries.from_terms(
-        4 * k, T, {e: c // counts[0] for e, c in counts.items()})
+    D, cosets = 4 * k, {}
+    for e, c in counts.items():
+        cosets.setdefault(e % D, {})[e // D] = c // counts[0]
+    return {r: FracSeries.from_terms((budget - r) // D + 1, terms)
+            for r, terms in sorted(cosets.items())}
 
 
 # ---------------------------------------------------------------------------

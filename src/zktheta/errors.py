@@ -13,12 +13,8 @@ class OutOfTruncation(ZkThetaError):
     """Coefficient requested at or beyond the series truncation."""
 
 
-class NegativeExponent(ZkThetaError):
-    """Differentiation would produce a term with negative exponent."""
-
-
 class GridViolation(ZkThetaError):
-    """A nonzero coefficient landed off the expected exponent grid."""
+    """A nonzero coefficient landed off its expected coset."""
 
 
 class IndexOutOfRange(ZkThetaError):

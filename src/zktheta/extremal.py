@@ -125,13 +125,13 @@ def _coset_mul(xc: FracSeries, z: FracSeries, k: int) -> FracSeries:
 
 def _theta0(k: int, T) -> FracSeries:
     """f0c with f0(t) = f0c(t^k) on the integer grid, cut at ceil(T/k), for
-    f0 = theta_f(k, 0, T).
+    f0 the theta function of 2kZ cut at T (modforms.theta_f).
 
-    f0 sums t^(x^2/4k) over x = 2ky, grid index 4k^2*y^2, so f0c =
+    f0 sums t^(x^2/4k) = t^(k*y^2) over x = 2ky, so f0c =
     1 + 2*sum_{y>=1} u^(y^2), Jacobi's theta3 for every k.
     """
     terms = theta_terms(k, 0, T)  # raises InvalidModulus before T // k
-    return FracSeries.from_terms(1, -(-T // k),
+    return FracSeries.from_terms(-(-T // k),
                                  {x2 // (4 * k * k): c for x2, c in terms})
 
 
@@ -207,8 +207,10 @@ def profile(n: int, k: int) -> ExtremalProfile:
                            beta1=beta1, beta2=beta2)
 
 
-def eq3_value(s: int, k: int, y: int, xs) -> Fraction:
-    """((s+2)*(1+2ky)^2 - l) / 4k with l the summed square norm.
+def eq3_value(s: int, k: int, y: int, xs):
+    """((s+2)*(1+2ky)^2 - l) / 4k as a Fraction, with l the summed square
+    norm.  (No return annotation: fractions is imported only here, so
+    integer answers never load it.)
 
     xs supplies the s+1 free lattice coordinates; positive whenever l < s+2.
     """
@@ -236,7 +238,8 @@ def _theta_bracket(th1c: FracSeries, e4: FracSeries, k: int) -> FracSeries:
 
 def _f_bracket(k: int, i: int, f0c: FracSeries, T: int):
     """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B, cut at
-    T, for f0(t) = f0c(t^k) and f_i = theta_f(k, i, T).
+    T, for f0(t) = f0c(t^k) and f_i the theta function of 2kZ + i
+    (modforms.theta_f).
 
     f0 lives on t^Z and f_i on the coset i^2/4k + Z, so the bracket sits on
     that coset too, r = i^2 mod 4k.  It is summed from lattice terms: f0's
@@ -276,17 +279,17 @@ def _certificate_factors(k: int, T):
 
 
 def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
-    """(verdict, least coefficient, its exponent's index on the 1/4k grid,
-    head, held) of the window slots, exponents through mu + 1, of
-    theta1^(j-1) = th1pow(t^k) times each factor of cert (conditions:
+    """(verdict, least coefficient, 4k times its exponent, head, held) of
+    the window slots, exponents through mu + 1, of theta1^(j-1) =
+    th1pow(t^k) times each factor of cert (conditions:
     positivity_certificate), each slot one strided _coeff_of_product.
     held[0] (head layer) and held[i] (f-layer i) give the last slot through
     which a layer is known to hold; only later slots are read, and the new
     prefixes are returned.  The head layer comes first, slots 1..mu+1 (slot
     0 is B(0) = 0), each entering the least coefficient, head true if it
     holds through mu + 1; then the f-layers i = 1..k, slot s at exponent
-    s + r/4k (grid index 4k*s + r), only nonzero slots entering; the first
-    minimum wins.  held = [-1] * (k + 1) reads the whole window.
+    s + r/4k, only nonzero slots entering; the first minimum wins.
+    held = [-1] * (k + 1) reads the whole window.
 
     The sweep passes the prefixes of a shorter length, with a lower power of
     theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its coefficients

@@ -17,11 +17,10 @@ from .series import FracSeries, power
 def _eisenstein(T, c: int, p: int) -> FracSeries:
     """1 + c * sum_{m>=1} sigma_p(m) t^m on the integer grid, the divisor
     sums sieved: each d adds c * d^p to every multiple of d."""
-    n = math.ceil(T)
-    coeffs = [1] + [0] * (n - 1)
-    for d in range(1, n):
+    coeffs = [1] + [0] * (T - 1)
+    for d in range(1, T):
         cd = c * d ** p
-        for m in range(d, n, d):
+        for m in range(d, T, d):
             coeffs[m] += cd
     return FracSeries(1, T, coeffs)
 
@@ -44,7 +43,7 @@ def _euler(T) -> FracSeries:
     while g * (3 * g - 1) // 2 < T:
         terms[g * (3 * g - 1) // 2] = terms[g * (3 * g + 1) // 2] = (-1) ** g
         g += 1
-    return FracSeries.from_terms(1, T, terms)
+    return FracSeries.from_terms(T, terms)
 
 
 def h_series(T, s: int = 1) -> FracSeries:
@@ -55,7 +54,7 @@ def h_series(T, s: int = 1) -> FracSeries:
 
 
 def theta_terms(k: int, i: int, T) -> list:
-    """The support of f_i = theta_f(k, i, T) as (grid index, coefficient)
+    """The terms t^(x^2/4k) of f_i (theta_f) below t^T as (x^2, coefficient)
     pairs, ascending, read off the lattice: x^2 for x >= 1 with
     x = +-i mod 2k and x^2 < 4k*T, plus (0, 1) for i = 0."""
     if k < 1:
@@ -64,21 +63,26 @@ def theta_terms(k: int, i: int, T) -> list:
         raise IndexOutOfRange(f"theta index {i} outside 0..{k}")
     residues = {i % (2 * k), (2 * k - i) % (2 * k)}
     weight = 2 if i == 0 or i == k else 1
-    top = math.isqrt(math.ceil(T * 4 * k) - 1)  # x * x < T * 4k, in ints
+    top = math.isqrt(4 * k * T - 1)
     terms = [(0, 1)] if i == 0 else []
     return terms + [(x * x, weight) for x in range(1, top + 1)
                     if x % (2 * k) in residues]
 
 
-def theta_f(k: int, i: int, T) -> FracSeries:
-    """Theta function of the residue class 2kZ + i, on grid 1/(4k).
+def theta_f(k: int, i: int, T: int) -> tuple:
+    """(r, g) with f_i = t^(r/4k) * g: the theta function of the residue
+    class 2kZ + i on its coset r/4k + Z, g on the integer grid, cut at T.
 
-    f_i = sum over x = i mod 2k of t^(x^2/4k).  Support sits at grid index
-    x^2 for positive x with x = +-i mod 2k; the stored coefficient is the
-    number of class members with that square: 2 for i = 0 (x and -x, plus
-    the constant 1) and for i = k (the class is its own negative), 1 for
-    0 < i < k (x and -x fall in the two different classes i and 2k-i,
-    which share the same series).  This single-class normalization is the
-    one that makes swe_C8(f_0, ..., f_k) = E4 come out exactly.
+    f_i = sum over x = i mod 2k of t^(x^2/4k).  Every such x has
+    x^2 = i^2 mod 4k, so r = i^2 mod 4k and the term of x sits at slot
+    (x^2 - r)/4k of g, for positive x with x = +-i mod 2k; the stored
+    coefficient is the number of class members with that square: 2 for
+    i = 0 (x and -x, plus the constant 1) and for i = k (the class is its
+    own negative), 1 for 0 < i < k (x and -x fall in the two different
+    classes i and 2k-i, which share the same series).  This single-class
+    normalization is the one that makes swe_C8(f_0, ..., f_k) = E4 come
+    out exactly.
     """
-    return FracSeries.from_terms(4 * k, T, dict(theta_terms(k, i, T)))
+    terms, D = theta_terms(k, i, T), 4 * k
+    r = i * i % D
+    return r, FracSeries.from_terms(T, {(x2 - r) // D: c for x2, c in terms})

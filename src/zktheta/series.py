@@ -1,11 +1,11 @@
-"""Exact truncated power series on a fractional exponent grid.
+"""Exact truncated power series on the integer grid.
 
-A :class:`FracSeries` stores coefficients of t^(e/D) for integer e >= 0 on a
-dense grid, with everything below an explicit truncation T kept exactly.
-An integral T stays an int; ``fractions`` is imported only where an
-exponent is really fractional.  Coefficients are exact Python ints and no
+A :class:`FracSeries` stores the coefficients of t^e for integers
+0 <= e < T, T a positive int.  Coefficients are exact Python ints and no
 floating point enters anywhere; a result that is not integral (see
-``power``, ``differentiate``) raises ArithmeticError.  A product of dense
+``power``) raises ArithmeticError.  A series on a coset r/4k + Z, such as a
+theta function f_i, is kept by its callers as a pair (r, S) meaning
+t^(r/4k) * S, S on this grid (``modforms.theta_f``).  A product of dense
 operands is one multiply of packed ints (Kronecker substitution) or, for
 wide coefficients, a Karatsuba short product on the coefficient lists;
 every other product walks nonzero pairs only, so stored zeros cost no
@@ -16,105 +16,61 @@ The variable t is q^2 throughout the package.
 
 from __future__ import annotations
 
-import math
 import operator
 
-from .errors import (
-    GridViolation,
-    NegativeExponent,
-    ZeroConstantTerm,
-)
-
-
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if isinstance(x, int):
-        return x
-    from fractions import Fraction
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _slots(D: int, T) -> int:
-    """Number of stored grid indices: all e with e/D < T."""
-    return max(math.ceil(T * D), 0)
+from .errors import ZeroConstantTerm
 
 
 class FracSeries:
-    """Truncated exact series sum_e c_e * t^(e/D), kept for e/D < T.
+    """Truncated exact series sum_e c_e * t^e, kept for e < T.
 
     Immutable by convention: operations return new objects and never write
-    into an existing coefficient list.
+    into an existing coefficient list.  The name and the grid denominator
+    D, always 1, stay for perfbench/tracer.py, which wraps this constructor
+    as (self, D, T, coeffs) and reads D on every product.
     """
 
     __slots__ = ("D", "T", "coeffs")
 
-    def __init__(self, D: int, T, coeffs):
-        if D < 1:
-            raise ValueError("grid denominator must be >= 1")
-        T = _exact(T)
+    def __init__(self, D: int, T: int, coeffs):
+        if D != 1:
+            raise ValueError(f"grid denominator must be 1, got {D}")
+        T = operator.index(T)
         if T <= 0:
             raise ValueError("truncation must be positive")
-        ns = _slots(D, T)
-        if len(coeffs) > ns:
-            coeffs = coeffs[:ns]
-        self.D = D
+        if len(coeffs) > T:
+            coeffs = coeffs[:T]
+        self.D = 1
         self.T = T
         self.coeffs = list(coeffs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, D: int, T, terms) -> "FracSeries":
-        """Build from {grid_index: coefficient} (indices on the e grid)."""
-        T = _exact(T)
-        ns = _slots(D, T)
-        coeffs = [0] * ns
+    def from_terms(cls, T: int, terms) -> "FracSeries":
+        """Build from {exponent: coefficient}; exponents at or past T are
+        dropped."""
+        coeffs = [0] * T
         for e, c in terms.items():
-            if 0 <= e < ns:
-                coeffs[e] = coeffs[e] + c
-        return cls(D, T, coeffs)
+            if 0 <= e < T:
+                coeffs[e] += c
+        return cls(1, T, coeffs)
 
     @classmethod
-    def constant(cls, value, T, D: int = 1) -> "FracSeries":
-        return cls.from_terms(D, T, {0: value})
+    def constant(cls, value, T: int) -> "FracSeries":
+        return cls.from_terms(T, {0: value})
 
     # -- basic queries -----------------------------------------------------
 
     def coeff_index(self, e: int):
-        """Coefficient at grid index e (0 if beyond stored length)."""
+        """Coefficient of t^e (0 if beyond stored length)."""
         if 0 <= e < len(self.coeffs):
             return self.coeffs[e]
         return 0
 
     def nonzero_terms(self):
-        """List of (grid_index, coefficient) with coefficient != 0."""
+        """List of (exponent, coefficient) with coefficient != 0."""
         return [(e, c) for e, c in enumerate(self.coeffs) if c]
-
-    # -- grid management ---------------------------------------------------
-
-    def regrid(self, D2: int) -> "FracSeries":
-        """Re-express on grid denominator D2.
-
-        Refining (D | D2) always works; coarsening requires every nonzero
-        coefficient to sit on the coarser grid, else GridViolation.
-        """
-        if D2 == self.D:
-            return self
-        if D2 % self.D and self.D % D2:
-            raise GridViolation(f"grids 1/{self.D} and 1/{D2} are incompatible")
-        ns = _slots(D2, self.T)
-        coeffs = [0] * ns
-        for e, c in self.nonzero_terms():
-            e2, off = divmod(e * D2, self.D)
-            if off:
-                from fractions import Fraction
-                raise GridViolation(
-                    f"coefficient at t^{Fraction(e, self.D)} off grid 1/{D2}"
-                )
-            if e2 < ns:
-                coeffs[e2] = c
-        return FracSeries(D2, self.T, coeffs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -146,56 +102,45 @@ class FracSeries:
     def scale(self, factor) -> "FracSeries":
         if factor == 1:
             return self
-        return FracSeries(self.D, self.T, [c * factor if c else 0 for c in self.coeffs])
+        return FracSeries(1, self.T, [c * factor if c else 0 for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, FracSeries):
             return NotImplemented
-        a, b = _align(self, other)
-        return a.nonzero_terms() == b.nonzero_terms()
+        return self.nonzero_terms() == other.nonzero_terms()
 
     __hash__ = None
 
     def __repr__(self):
         shown = []
         for e, c in self.nonzero_terms():
-            shown.append(f"{c}*t^({e}/{self.D})")
+            shown.append(f"{c}*t^{e}")
             if len(shown) >= 6:
                 shown.append("...")
                 break
         body = " + ".join(shown) if shown else "0"
-        return f"FracSeries(D={self.D}, T={self.T}: {body})"
+        return f"FracSeries(T={self.T}: {body})"
 
 
 def _coerce(x, like: FracSeries) -> FracSeries:
     if isinstance(x, FracSeries):
         return x
-    return FracSeries.constant(x, like.T, like.D)
-
-
-def _align(a: FracSeries, b: FracSeries):
-    """Common grid (lcm of denominators); truncations left untouched."""
-    if a.D == b.D:
-        return a, b
-    D = math.lcm(a.D, b.D)
-    return a.regrid(D), b.regrid(D)
+    return FracSeries.constant(x, like.T)
 
 
 def linear_combine(a: FracSeries, b: FracSeries, alpha, beta) -> FracSeries:
     """alpha*a + beta*b, exact; truncation = min(T_a, T_b)."""
-    a, b = _align(a, b)
     T = min(a.T, b.T)
-    ns = _slots(a.D, T)
-    out = [0] * ns
+    out = [0] * T
     if alpha:
-        for e, c in enumerate(a.coeffs[:ns]):
+        for e, c in enumerate(a.coeffs[:T]):
             if c:
                 out[e] = alpha * c
     if beta:
-        for e, c in enumerate(b.coeffs[:ns]):
+        for e, c in enumerate(b.coeffs[:T]):
             if c:
                 out[e] = out[e] + beta * c
-    return FracSeries(a.D, T, out)
+    return FracSeries(1, T, out)
 
 
 def mul(a: FracSeries, b: FracSeries) -> FracSeries:
@@ -203,7 +148,7 @@ def mul(a: FracSeries, b: FracSeries) -> FracSeries:
 
     Three products, chosen from what the operands show.  A window of at
     most _SMALL slots, or one in which an operand has at most half its
-    slots nonzero (sparse series, the zero padding of a refined grid),
+    slots nonzero (sparse series such as a lacunary theta function),
     takes the schoolbook over nonzero pairs (_school): each nonzero term
     of a meets the nonzero terms of b in ascending order, up to the first
     whose index sum leaves the window, so zero slots are never visited.
@@ -213,20 +158,18 @@ def mul(a: FracSeries, b: FracSeries) -> FracSeries:
     the high x high block, or in a window of at most _GATE slots the dense
     double loop (_dense).
     """
-    a, b = _align(a, b)
-    T = min(a.T, b.T)
-    ns = _slots(a.D, T)
+    ns = min(a.T, b.T)
     if ns > _SMALL:
         x, y = a.coeffs[:ns], b.coeffs[:ns]
         if (2 * (len(x) - x.count(0)) > ns
                 and 2 * (len(y) - y.count(0)) > ns):
             if _bits(x) + _bits(y) <= _NARROW:
-                return FracSeries(a.D, T, _kronecker(x, y, ns))
+                return FracSeries(1, ns, _kronecker(x, y, ns))
             x += [0] * (ns - len(x))
             y += [0] * (ns - len(y))
-            return FracSeries(a.D, T, (_short if ns > _GATE else _dense)(
+            return FracSeries(1, ns, (_short if ns > _GATE else _dense)(
                 x, y, ns))
-    return FracSeries(a.D, T, _school(a.coeffs, b.coeffs, ns))
+    return FracSeries(1, ns, _school(a.coeffs, b.coeffs, ns))
 
 
 # Cut-offs, from per-product timings.  On the scan's dense 236-slot
@@ -339,13 +282,13 @@ def _short(x: list, y: list, n: int) -> list:
 def power(a: FracSeries, m: int) -> FracSeries:
     """a**m for any integer m by J. C. P. Miller's recurrence.
 
-    With a = c * t^(v/D) * (1 + ...), p = a^m / t^(mv/D) satisfies
+    With a = c * t^v * (1 + ...), p = a^m / t^(mv) satisfies
     c*s*p_s = sum_{i=1..s} ((m+1)*i - s) * a_{v+i} * p_{s-i}.  Every division
     is exact when m >= 0 or c = +-1; a negative power with c != +-1 is not
     integral and raises ArithmeticError.  power(a, -1) is the inverse.
     """
     if m == 0:
-        return FracSeries.constant(1, a.T, a.D)
+        return FracSeries.constant(1, a.T)
     if m == 1:
         return a
     terms = a.nonzero_terms()
@@ -358,7 +301,7 @@ def power(a: FracSeries, m: int) -> FracSeries:
         raise ArithmeticError(f"a^{m} with a(0) = {c} is not integral")
     rel = [(e - v, ce) for e, ce in terms[1:]]
     p = [c ** abs(m)]
-    for s in range(1, _slots(a.D, a.T) - m * v):
+    for s in range(1, a.T - m * v):
         acc = 0
         for i, ai in rel:
             if i > s:
@@ -369,46 +312,22 @@ def power(a: FracSeries, m: int) -> FracSeries:
             raise ArithmeticError(f"inexact division at slot {s} of a^{m}")
         p.append(q)
     # slots pushed past the truncation by the shift m*v are cut here
-    return FracSeries(a.D, a.T, [0] * (m * v) + p)
+    return FracSeries(1, a.T, [0] * (m * v) + p)
 
 
 def differentiate(a: FracSeries) -> FracSeries:
-    """d/dt; c*t^(e/D) -> c*(e/D)*t^(e/D - 1); truncation drops by 1.
-
-    A nonzero term with 0 < e/D < 1 has no home on the nonnegative grid;
-    that raises NegativeExponent rather than silently dropping weight.
-    (The constant term differentiates to zero and is fine.)  A non-integer
-    c*e/D raises ArithmeticError, which never happens on D = 1.
-    """
-    D = a.D
-    T2 = a.T - 1
-    if T2 <= 0:
-        from fractions import Fraction
-        T2 = Fraction(1, D)  # keep a valid (empty-able) window
-    ns = _slots(D, T2)
-    out = [0] * ns
-    for e, c in a.nonzero_terms():
-        if e == 0:
-            continue
-        if e < D:
-            from fractions import Fraction
-            raise NegativeExponent(
-                f"term t^{Fraction(e, D)} differentiates below t^0"
-            )
-        e2 = e - D
-        if e2 < ns:
-            q, rem = divmod(c * e, D)
-            if rem:
-                raise ArithmeticError(f"c*e/D = {c}*{e}/{D} is not integral")
-            out[e2] = q
-    return FracSeries(D, T2, out)
+    """d/dt: c*t^e -> (c*e)*t^(e-1); the truncation drops by 1, to no less
+    than 1."""
+    T = max(a.T - 1, 1)
+    return FracSeries(1, T, [c * e for e, c in
+                             enumerate(a.coeffs[1:T + 1], 1)])
 
 
 def euler_scaled(a: FracSeries) -> FracSeries:
-    """D * t * d/dt: maps c*t^(e/D) to (c*e)*t^(e/D).
+    """t * d/dt: maps c*t^e to (c*e)*t^e.
 
-    Same grid, same truncation, integer coefficients stay integer.  Used to
-    form D*t*(a*b' - a'*b) = a*euler_scaled(b) - euler_scaled(a)*b without
-    ever leaving the nonnegative exponent grid.
+    Same truncation, integer coefficients stay integer.  Used to form
+    t*(a*b' - a'*b) = a*euler_scaled(b) - euler_scaled(a)*b without ever
+    leaving the nonnegative exponent grid.
     """
-    return FracSeries(a.D, a.T, [c * e if c else 0 for e, c in enumerate(a.coeffs)])
+    return FracSeries(1, a.T, [c * e if c else 0 for e, c in enumerate(a.coeffs)])

@@ -90,34 +90,55 @@ def expand_u(xc, k: int):
     return FracSeries(1, k * xc.T, out)
 
 
-def monomial(coeff, exponent, T, D: int = 1):
-    """coeff * t^exponent as a FracSeries; exponent must land on the e/D
-    grid, else GridViolation."""
-    from fractions import Fraction
-
-    from zktheta.errors import GridViolation
+def monomial(coeff, exponent: int, T: int):
+    """coeff * t^exponent as a FracSeries cut at T."""
     from zktheta.series import FracSeries
 
-    e = Fraction(exponent) * D
-    if e.denominator != 1 or e < 0:
-        raise GridViolation(f"exponent {exponent} not on grid 1/{D}")
-    return FracSeries.from_terms(D, T, {e.numerator: coeff})
+    return FracSeries.from_terms(T, {exponent: coeff})
 
 
-def coeff_at(a, exponent):
-    """Exact coefficient of t^exponent in the series a; 0 for off-grid
-    exponents below its truncation, OutOfTruncation at or past it."""
+def coeff_at(a, exponent, k: int = 1):
+    """Exact coefficient of t^exponent in a, a series on the integer grid or
+    a pair (r, S) meaning t^(r/4k) * S with S on the integer grid; 0 for an
+    exponent off that coset below the truncation, OutOfTruncation at or
+    past it."""
     from fractions import Fraction
 
     from zktheta.errors import OutOfTruncation
 
-    exponent = Fraction(exponent)
-    if exponent >= a.T:
-        raise OutOfTruncation(f"exponent {exponent} >= truncation {a.T}")
-    e = exponent * a.D
-    if e.denominator != 1 or e < 0:
-        return 0
-    return a.coeff_index(e.numerator)
+    r, s, D = (*a, 4 * k) if isinstance(a, tuple) else (0, a, 1)
+    slot, off = divmod(Fraction(exponent) * D - r, D)
+    if slot >= s.T:
+        raise OutOfTruncation(f"exponent {exponent} past truncation {s.T}")
+    return s.coeff_index(slot) if slot >= 0 and not off else 0
+
+
+def on_v_grid(cosets, k: int, N: int):
+    """[v^x] for x < N of sum_r t^(r/4k) * S_r, cosets = {r: S_r}, with
+    v = t^(1/4k): the coset form laid out on one dense grid, slot 4k*e + r
+    from [t^e] S_r.  A slot past some S_r's truncation raises
+    OutOfTruncation."""
+    from zktheta.errors import OutOfTruncation
+
+    D, out = 4 * k, [0] * N
+    for r, s in cosets.items():
+        if D * s.T + r < N:
+            raise OutOfTruncation(f"coset {r}/{D} cut at {s.T}, below v^{N}")
+        for e, c in s.nonzero_terms():
+            if D * e + r < N:
+                out[D * e + r] = c
+    return out
+
+
+def theta_v(k: int, i: int, T: int):
+    """f_i = modforms.theta_f(k, i, T) as a series in v = t^(1/4k), every
+    slot stored, cut at v^(4kT).  On this grid 4k * t * d/dt is v * d/dv,
+    series.euler_scaled."""
+    from zktheta.modforms import theta_f
+    from zktheta.series import FracSeries
+
+    return FracSeries(1, 4 * k * T, on_v_grid(dict([theta_f(k, i, T)]), k,
+                                             4 * k * T))
 
 
 def binary_power(a, m: int):
@@ -128,7 +149,7 @@ def binary_power(a, m: int):
     """
     from zktheta.series import FracSeries, mul
 
-    result = FracSeries.constant(1, a.T, a.D)
+    result = FracSeries.constant(1, a.T)
     while m:
         if m & 1:
             result = mul(result, a)
@@ -346,9 +367,9 @@ def uncancelled_g_ratio(t0):
 def padded_certificate(n: int, k: int):
     """(verdict, min_coeff, min_exponent) of the certificate on padded grids.
 
-    Each f-layer 4k*t*(f0*f_i' - f0'*f_i) * f0^(8j-1) is built densely on the
-    1/(4k) grid, with no coset bookkeeping and no use of theta1, and read
-    through every grid index up to 4k*(mu+1), the window; the integer-grid
+    Each f-layer 4k*t*(f0*f_i' - f0'*f_i) * f0^(8j-1) is built densely in
+    v = t^(1/4k) (theta_v), with no coset bookkeeping and no use of theta1,
+    and read through every power of v up to 4k*(mu+1), the window; the head
     layer is t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions and the
     order in which the least coefficient is found follow
     positivity_certificate.  Both powers come from binary_power, not from
@@ -356,7 +377,7 @@ def padded_certificate(n: int, k: int):
     """
     from fractions import Fraction
 
-    from zktheta.modforms import eisenstein_e4, theta_f
+    from zktheta.modforms import eisenstein_e4
     from zktheta.series import FracSeries, euler_scaled, linear_combine, mul
 
     j, mu = n // 8, n // 24
@@ -368,10 +389,10 @@ def padded_certificate(n: int, k: int):
     min_c = min(head)
     min_e = Fraction(head.index(min_c) + 1)
     ok = min_c > 0
-    f0 = theta_f(k, 0, T)
+    f0 = theta_v(k, 0, T)
     f0pow = binary_power(f0, 8 * j - 1)
     for i in range(1, k + 1):
-        fi = theta_f(k, i, T)
+        fi = theta_v(k, i, T)
         brk = linear_combine(mul(f0, euler_scaled(fi)),
                              mul(euler_scaled(f0), fi), 1, -1)
         pi = mul(f0pow, brk)
@@ -390,17 +411,16 @@ def dense_f_bracket(k: int, i: int, T):
     """(r, B) with 4k * t * (f0 * f_i' - f0' * f_i) = t^(r/4k) * B.
 
     Oracle for extremal._f_bracket, which sums lattice-term pairs straight
-    into the coset's slots: here the bracket is formed densely on the
-    1/(4k) grid, f0 * euler_scaled(f_i) - euler_scaled(f0) * f_i, and its
+    into the coset's slots: here the bracket is formed densely in
+    v = t^(1/4k), f0 * euler_scaled(f_i) - euler_scaled(f0) * f_i, and its
     slots r, r + 4k, ..., r = i^2 mod 4k, are read off; a nonzero
     coefficient off that coset raises GridViolation.
     """
     from zktheta.errors import GridViolation
-    from zktheta.modforms import theta_f
     from zktheta.series import FracSeries, euler_scaled, linear_combine, mul
 
     D = 4 * k
-    f0, fi = theta_f(k, 0, T), theta_f(k, i, T)
+    f0, fi = theta_v(k, 0, T), theta_v(k, i, T)
     brk = linear_combine(mul(f0, euler_scaled(fi)), mul(euler_scaled(f0), fi),
                          1, -1)
     r = i * i % D

@@ -13,13 +13,12 @@ window; the per-k values are part of the verdict line.
 import os
 import random
 import time
-from fractions import Fraction
-
 import mpmath as mp
 
 import conftest
 from conftest import (F_at, brute_theta1, extremal_excess, extremal_theta,
-                      matching_b_list, qp_F, uncancelled_g_ratio)
+                      matching_b_list, on_v_grid, qp_F, theta_v,
+                      uncancelled_g_ratio)
 from zktheta.asymptotics import find_saddle, predicted_ratio_limit, ratio_report
 from zktheta.codes import search_c8, theta_cosets, theta_substitution, verify_type2
 from zktheta.extremal import (
@@ -135,15 +134,18 @@ def test_criterion_6_construction_a():
     for k in range(1, 7):
         code = search_c8(k)
         rep = verify_type2(code)
+        # coset form {r: S_r}, theta = sum_r t^(r/4k) * S_r; laid out on
+        # v = t^(1/4k) through the norm cap 8, v^(16k)
         sub = theta_substitution(code, 11)
-        e4 = eisenstein_e4(11).regrid(4 * k)
-        direct = theta_cosets(code, 8)
+        N = 16 * k + 1
+        direct = on_v_grid(theta_cosets(code, 8), k, N)
         checks = (
             rep.is_type2
             and rep.d_E == 4 * k
-            and sub == e4
-            and direct == theta_substitution(code, direct.T)
-            and direct.nonzero_terms()[1][0] == 4 * k  # min norm 2 -> t^1
+            and sub == {0: eisenstein_e4(11)}
+            and direct == on_v_grid(theta_substitution(code, 5), k, N)
+            # min norm 2 -> t^1
+            and next(x for x in range(1, N) if direct[x]) == 4 * k
         )
         if not checks:
             bad.append(k)
@@ -205,13 +207,12 @@ def test_criterion_8_property_suites():
 
     # lattice double-sum oracle for the derivative bracket
     from test_extremal import eq2_double_sum
-    from zktheta.modforms import theta_f
     from zktheta.series import euler_scaled, linear_combine
 
     eq2 = True
     for s in range(4):
         for k in range(1, 4):
-            f0, f1 = theta_f(k, 0, 8), theta_f(k, 1, 8)
+            f0, f1 = theta_v(k, 0, 8), theta_v(k, 1, 8)
             series = mul(power(f0, s),
                          linear_combine(mul(f0, euler_scaled(f1)),
                                         mul(euler_scaled(f0), f1), 1, -1))

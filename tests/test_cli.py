@@ -336,3 +336,56 @@ def test_lazy_exports_are_the_submodule_objects():
     assert find_saddle is zktheta.asymptotics.find_saddle
     with pytest.raises(AttributeError):
         zktheta.no_such_name
+
+
+def test_public_annotations_resolve():
+    # typing.get_type_hints evaluates every annotation in its module, so a
+    # type imported only inside a function raises NameError here
+    import importlib
+    import inspect
+    import typing
+    for layer in ("series", "modforms", "extremal", "codes", "asymptotics",
+                  "cli"):
+        module = importlib.import_module(f"zktheta.{layer}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        typing.get_type_hints(member)
+                    elif isinstance(member, classmethod):
+                        typing.get_type_hints(member.__func__)
+            elif inspect.isfunction(obj):
+                typing.get_type_hints(obj)
+
+
+BENCH = SRC.parent / "perfbench"
+
+
+@pytest.mark.parametrize("argv,exact", [
+    (["--workers", "1", "crossover", "--k", "1", "--from", "4800",
+      "--to", "4848"], True),
+    (["theorem1", "--k", "6", "--nmax", "240"], True),
+    (["extremal", "--n", "2400", "--k", "3"], True),
+    (["code", "search", "--k", "2"], False),
+])
+def test_benchmark_tracer_keeps_stdout(argv, exact, tmp_path):
+    # the benchmark runs each invocation through perfbench/child.py, which
+    # with --trace patches the layers from outside the package (the
+    # FracSeries constructor and every public function): a traced child
+    # must exit 0 and print what an untraced one prints
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = {}
+    for traced in (False, True):
+        stats = tmp_path / f"stats{int(traced)}.json"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), "--stats-out",
+             str(stats), *(["--trace"] if traced else []), "--", *argv],
+            cwd=SRC.parent, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, (traced, proc.stderr.decode())
+        out[traced] = proc.stdout
+    assert out[True] == out[False]
+    if exact:
+        assert json.loads(stats.read_text())["layers"]["series.mul.calls"] > 0

@@ -1,12 +1,11 @@
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_codewords, naive_verify_type2
+from conftest import naive_codewords, naive_verify_type2, on_v_grid
 from zktheta import codes
 from zktheta.codes import (
     LinearCode,
@@ -96,28 +95,34 @@ def test_swe_total_matches_cardinality():
     assert sum(swe(code).counts.values()) == 4 ** 4
 
 
+def same_theta(code, norm_cap):
+    """theta_cosets(code, norm_cap) against theta_substitution, both laid
+    out on v = t^(1/4k) through the norm cap, v^(2k * norm_cap)."""
+    k, N = code.k, 2 * code.k * norm_cap + 1
+    direct = theta_cosets(code, norm_cap)
+    sub = theta_substitution(code, norm_cap // 2 + 1)
+    return on_v_grid(direct, k, N) == on_v_grid(sub, k, N)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_theta_substitution_is_e4(k):
     T = 5
     th = theta_substitution(search_c8(k), T)
-    assert th == eisenstein_e4(T).regrid(4 * k)
+    assert th == {0: eisenstein_e4(T)}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_theta_cosets_matches_substitution(k):
-    code = search_c8(k)
-    norm_cap = 6
-    direct = theta_cosets(code, norm_cap)
-    sub = theta_substitution(code, direct.T)
-    assert direct == sub
+    assert same_theta(search_c8(k), 6)
 
 
 def test_theta_cosets_min_norm():
     # A_2k(C) is even unimodular: after t = q^2 the first shell sits at t^1
     th = theta_cosets(search_c8(2), 4)
-    terms = th.nonzero_terms()
+    assert list(th) == [0]
+    terms = th[0].nonzero_terms()
     assert terms[0] == (0, 1)
-    assert terms[1][0] == 8  # exponent 1 on grid 1/8
+    assert terms[1][0] == 1
 
 
 def test_theta_cosets_linear_in_the_modulus():
@@ -129,13 +134,12 @@ def test_theta_cosets_linear_in_the_modulus():
     t0 = time.process_time()
     th = theta_cosets(LinearCode(k=k, n=8, rows=()), 2)
     assert time.process_time() - t0 < 5
-    assert (th.D, th.T) == (4 * k, 1 + Fraction(1, 4 * k))
-    assert th.nonzero_terms() == [(0, 1)]
+    # norm 2 is t^1: the coset 0 is cut past slot 1
+    assert list(th) == [0]
+    assert (th[0].T, th[0].nonzero_terms()) == (2, [(0, 1)])
     # k = 50, norm cap 2: the residues 15..85 have no integer in [-14, 14],
     # so the words 15..85 times the all-ones row add nothing
-    code = LinearCode(k=50, n=8, rows=((1,) * 8,))
-    direct = theta_cosets(code, 2)
-    assert direct == theta_substitution(code, direct.T)
+    assert same_theta(LinearCode(k=50, n=8, rows=((1,) * 8,)), 2)
 
 
 def test_theta_cosets_cap_guard():
@@ -293,7 +297,6 @@ def test_non_free_code_counts_each_word_once():
     table = swe(code)
     assert table.counts == {(8, 0, 0): 1, (6, 0, 2): 1}
     assert sum(table.counts.values()) == 2
-    direct = theta_cosets(code, 2)
-    assert direct.nonzero_terms()[0] == (0, 1)
-    assert direct == theta_substitution(code, direct.T)
+    assert theta_cosets(code, 2)[0].nonzero_terms()[0] == (0, 1)
+    assert same_theta(code, 2)
     assert not verify_type2(code).self_dual

@@ -8,7 +8,7 @@ import pytest
 from conftest import (binary_power, bracket_b_list, brute_theta1,
                       dense_f_bracket, expand_u, extremal_excess,
                       extremal_theta, lattice_certificate, matching_b_list,
-                      padded_certificate, w_powers)
+                      padded_certificate, theta_v, w_powers)
 from zktheta import extremal
 from zktheta.errors import GridViolation, InvalidLength, OutOfTruncation
 from zktheta.extremal import (
@@ -164,12 +164,12 @@ def test_positivity_k8_leading_slot_past_window():
         D = 4 * k
         for n in range(8, 49, 8):
             assert positivity_certificate(n, k).verdict, (n, k)
-            # dense on the 1/(4k) grid, cut just past the last leading slot
+            # dense in v = t^(1/4k), cut just past the last leading slot
             T = k * k // D + 1
-            f0 = theta_f(k, 0, T)
+            f0 = theta_v(k, 0, T)
             f0pow = binary_power(f0, n - 1)
             for i in range(1, k + 1):
-                fi = theta_f(k, i, T)
+                fi = theta_v(k, i, T)
                 layer = mul(f0pow, linear_combine(
                     mul(f0, euler_scaled(fi)), mul(euler_scaled(f0), fi),
                     1, -1))
@@ -246,7 +246,7 @@ def test_tail_chunk_builds_f0_once(monkeypatch):
 
 
 def test_f_bracket_matches_dense_grid_oracle():
-    # lattice-term pairs against the bracket formed on the 1/(4k) grid,
+    # lattice-term pairs against the bracket formed densely in t^(1/4k),
     # slot for slot, including the cut at T
     for k in range(1, 10):
         for i in range(1, k + 1):
@@ -261,10 +261,10 @@ def test_theta0_is_f0_on_its_coset():
     # f0(t) = f0c(t^k), and f0c is Jacobi's theta3 whatever k is
     for k in range(1, 7):
         for T in (1, 2, 7, 30):
-            f0, f0c = theta_f(k, 0, T), extremal._theta0(k, T)
-            assert f0c.T == -(-T // k)
-            assert expand_u(f0c, k).coeffs[:T] == f0.regrid(1).coeffs
-            assert f0c.coeffs == theta_f(1, 0, f0c.T).regrid(1).coeffs
+            (r, f0), f0c = theta_f(k, 0, T), extremal._theta0(k, T)
+            assert r == 0 and f0c.T == -(-T // k)
+            assert expand_u(f0c, k).coeffs[:T] == f0.coeffs
+            assert f0c.coeffs == theta_f(1, 0, f0c.T)[1].coeffs
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -494,8 +494,8 @@ def eq2_double_sum(s, k, grid_cap):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_eq2_series_matches_lattice_sum(s, k):
     T = 8
-    f0 = theta_f(k, 0, T)
-    f1 = theta_f(k, 1, T)
+    f0 = theta_v(k, 0, T)
+    f1 = theta_v(k, 1, T)
     series = mul(
         power(f0, s),
         linear_combine(mul(f0, euler_scaled(f1)),

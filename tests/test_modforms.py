@@ -50,27 +50,34 @@ def test_h_positive_coefficients():
 
 
 def test_theta_f_k1_class0():
-    f0 = theta_f(1, 0, 5)
-    assert f0.nonzero_terms() == [(0, 1), (4, 2), (16, 2)]
+    # x in 2Z: exponents x^2/4 = 0, 1, 4 on the coset 0
+    r, f0 = theta_f(1, 0, 5)
+    assert (r, f0.nonzero_terms()) == (0, [(0, 1), (1, 2), (4, 2)])
 
 
 def test_theta_f_k2_class0():
-    f0 = theta_f(2, 0, 11)
-    # x in 4Z: exponents x^2/8 = 2, 8, ... on grid 1/8
-    assert f0.nonzero_terms() == [(0, 1), (16, 2), (64, 2)]
+    # x in 4Z: exponents x^2/8 = 0, 2, 8 on the coset 0
+    r, f0 = theta_f(2, 0, 11)
+    assert (r, f0.nonzero_terms()) == (0, [(0, 1), (2, 2), (8, 2)])
 
 
 def test_theta_f_k1_odd_class():
     f1 = theta_f(1, 1, 3)
-    assert coeff_at(f1, Fraction(1, 4)) == 2
-    assert coeff_at(f1, Fraction(9, 4)) == 2
+    assert f1[0] == 1
+    assert coeff_at(f1, Fraction(1, 4), k=1) == 2
+    assert coeff_at(f1, Fraction(9, 4), k=1) == 2
+    assert coeff_at(f1, Fraction(5, 4), k=1) == 0
+    assert coeff_at(f1, 1, k=1) == 0
 
 
 def test_theta_f_midrange_single_count():
     # 0 < i < k: each positive x = +-i (mod 2k) appears once
     f1 = theta_f(3, 1, 3)
-    assert coeff_at(f1, Fraction(1, 12)) == 1
-    assert coeff_at(f1, Fraction(25, 12)) == 1
+    assert coeff_at(f1, Fraction(1, 12), k=3) == 1
+    assert coeff_at(f1, Fraction(25, 12), k=3) == 1
+    # i = k = 5: x = 5, 15 give t^(25/20) and t^(225/20), slots 1 and 11 of
+    # the coset 5/20, each counted twice
+    assert theta_f(5, 5, 12) == (5, FracSeries.from_terms(12, {1: 2, 11: 2}))
 
 
 def test_theta_f_index_range():
@@ -81,10 +88,11 @@ def test_theta_f_index_range():
 def test_theta_f_support_is_squares():
     for k in (1, 2, 3):
         for i in range(k + 1):
-            f = theta_f(k, i, 6)
+            r, f = theta_f(k, i, 6)
+            assert r == i * i % (4 * k)
             for e, c in f.nonzero_terms():
-                x = int(round(e ** 0.5))
-                assert x * x == e
+                x = int(round((4 * k * e + r) ** 0.5))
+                assert x * x == 4 * k * e + r
                 assert x % (2 * k) in {i, 2 * k - i}
 
 
@@ -108,4 +116,5 @@ def test_theta1_constant_term():
 def test_theta1_equals_f0_pow8():
     for k in (1, 3):
         theta1 = FracSeries(1, 6, brute_theta1(k, 6))
-        assert power(theta_f(k, 0, 6), 8) == theta1.regrid(4 * k)
+        r, f0 = theta_f(k, 0, 6)
+        assert r == 0 and power(f0, 8) == theta1

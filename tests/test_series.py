@@ -1,6 +1,4 @@
-import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +7,7 @@ from hypothesis import strategies as st
 from conftest import (binary_power, brute_delta, brute_theta1, coeff_at,
                       monomial)
 from zktheta import series
-from zktheta.errors import (
-    GridViolation,
-    NegativeExponent,
-    OutOfTruncation,
-    ZeroConstantTerm,
-)
+from zktheta.errors import OutOfTruncation, ZeroConstantTerm
 from zktheta.extremal import _theta0
 from zktheta.modforms import eisenstein_e4, h_series
 from zktheta.series import (
@@ -27,8 +20,8 @@ from zktheta.series import (
 )
 
 
-def poly(*coeffs, T=40, D=1):
-    return FracSeries(D, T, list(coeffs))
+def poly(*coeffs, T=40):
+    return FracSeries(1, T, list(coeffs))
 
 
 def test_linear_combine_cancellation():
@@ -97,13 +90,13 @@ def test_invert_non_unit_constant_raises():
 
 
 def test_pow_zero_series_and_shift_past_truncation():
-    zero = FracSeries(4, Fraction(7, 2), [])
+    zero = FracSeries(1, 7, [])
     assert power(zero, 3).nonzero_terms() == []
-    assert power(zero, 0) == FracSeries.constant(1, Fraction(7, 2), 4)
+    assert power(zero, 0) == FracSeries.constant(1, 7)
     # t^2 cubed is t^6, beyond T = 5
     assert power(monomial(1, 2, 5), 3).nonzero_terms() == []
-    # leading shift v = 1: (t^(1/4) + 2t^(1/2))^2 = t^(1/2) + 4t^(3/4) + O(t)
-    sq = power(FracSeries(4, 1, [0, 1, 2, 0]), 2)
+    # leading shift v = 1: (t + 2t^2)^2 = t^2 + 4t^3 + O(t^4)
+    sq = power(FracSeries(1, 4, [0, 1, 2, 0]), 2)
     assert sq.nonzero_terms() == [(2, 1), (3, 4)]
 
 
@@ -117,21 +110,6 @@ def test_differentiate_e4():
     assert d.coeffs == [240, 2 * 2160, 3 * 6720, 4 * 17520]
 
 
-def test_differentiate_fractional_grid():
-    a = monomial(4, Fraction(9, 4), 10, D=4)
-    d = differentiate(a)
-    assert d == monomial(9, Fraction(5, 4), 9, D=4)
-    # d/dt t^(9/4) = (9/4) t^(5/4) is not integral
-    with pytest.raises(ArithmeticError):
-        differentiate(monomial(1, Fraction(9, 4), 10, D=4))
-
-
-def test_differentiate_negative_exponent_raises():
-    a = monomial(1, Fraction(1, 4), 10, D=4)
-    with pytest.raises(NegativeExponent):
-        differentiate(a)
-
-
 def test_coeff_at_examples():
     assert coeff_at(eisenstein_e4(10), 1) == 240
     assert coeff_at(poly(1, -1), 2) == 0
@@ -143,35 +121,11 @@ def test_coeff_at_beyond_truncation():
         coeff_at(poly(1, 2, T=2), 5)
 
 
-def test_grid_embedding_roundtrip():
-    e4 = eisenstein_e4(12)
-    assert e4.regrid(4).regrid(1) == e4
-
-
-def test_regrid_off_grid_raises():
-    a = monomial(1, Fraction(1, 4), 10, D=4)
-    with pytest.raises(GridViolation):
-        a.regrid(1)
-
-
-def test_regrid_between_divisor_grids():
-    a = FracSeries(3, 2, [1, 0, 5, -2, 0, 7])
-    fine = a.regrid(12)
-    assert fine.nonzero_terms() == [(0, 1), (8, 5), (12, -2), (20, 7)]
-    assert fine.regrid(6).nonzero_terms() == [(0, 1), (4, 5), (6, -2), (10, 7)]
-    assert fine.regrid(6).regrid(3).coeffs == a.coeffs
-    with pytest.raises(GridViolation):
-        a.regrid(4)  # neither grid divides the other
-    with pytest.raises(GridViolation):
-        fine.regrid(4)  # t^(2/3) is off the 1/4 grid
-
-
 def test_eq_compares_values_not_storage():
     assert poly(1, 2, 0, 0) == poly(1, 2)
-    assert poly(1, 2) == poly(1, 0, 0, 0, 2, D=4)
+    assert poly(1, 2, T=3) == poly(1, 2, T=40)
     assert poly(1, 2) != poly(1, 3)
     assert poly(1, 2) != poly(1, 2, 1)
-    assert poly(1, 2) != poly(1, 0, 2, D=4)
 
 
 def test_init_copies_its_list():
@@ -182,16 +136,17 @@ def test_init_copies_its_list():
 
 
 def test_integral_truncation_is_an_int():
-    # an integral T is kept as an int, a fractional one as a Fraction
-    for T in (3, Fraction(6, 2), 3.0, "3"):
-        a = FracSeries(4, T, [])
-        assert type(a.T) is int and a.T == 3, T
-        assert len(FracSeries.constant(1, T, 4).coeffs) == 12
-    for T in (Fraction(7, 2), 3.5, "7/2"):
-        a = FracSeries.constant(1, T, 4)
-        assert a.T == Fraction(7, 2) and len(a.coeffs) == 14, T
+    # one grid: D is 1 and T a positive int
+    from fractions import Fraction
+    for T in (Fraction(6, 2), Fraction(7, 2), 3.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            FracSeries(1, T, [])
+    for D, T in ((4, 3), (0, 3), (1, 0), (1, -2)):
+        with pytest.raises(ValueError):
+            FracSeries(D, T, [])
+    assert len(FracSeries.constant(1, 3).coeffs) == 3
     assert type(mul(poly(1, 2), poly(3, 4, 5)).T) is int
-    assert differentiate(FracSeries(2, 1, [1, 0])).T == Fraction(1, 2)
+    assert differentiate(FracSeries(1, 1, [1])).T == 1
 
 
 def test_pipeline_builds_only_int_coefficients(monkeypatch):
@@ -230,8 +185,8 @@ coeffs_st = st.lists(st.integers(min_value=-50, max_value=50),
                      min_size=1, max_size=12)
 
 
-def _series(coeffs, D=1):
-    return FracSeries(D, 33, coeffs)
+def _series(coeffs):
+    return FracSeries(1, 33, coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,9 +228,8 @@ def _naive_product(a, b):
     out = {}
     for ea, ca in enumerate(a.coeffs):
         for eb, cb in enumerate(b.coeffs):
-            x = Fraction(ea, a.D) + Fraction(eb, b.D)
-            if x < T:
-                out[x] = out.get(x, 0) + ca * cb
+            if ea + eb < T:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
     return {x: c for x, c in out.items() if c}
 
 
@@ -284,13 +238,11 @@ sparse_coeff_st = st.integers(min_value=-9, max_value=9)
 
 @st.composite
 def sparse_series(draw):
-    """Zero-heavy series on D in {1, 4, 24} with a fractional truncation."""
-    D = draw(st.sampled_from([1, 4, 24]))
-    T = draw(st.fractions(min_value=Fraction(1, 24), max_value=4,
-                          max_denominator=24))
-    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=4 * D),
+    """Zero-heavy series of up to 96 slots."""
+    T = draw(st.integers(min_value=1, max_value=96))
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=96),
                                  sparse_coeff_st, max_size=10))
-    return FracSeries.from_terms(D, T, terms)
+    return FracSeries.from_terms(T, terms)
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,8 +250,7 @@ def sparse_series(draw):
 def test_mul_matches_naive_product(a, b):
     p = mul(a, b)
     assert p.T == min(a.T, b.T)
-    assert {Fraction(e, p.D): c for e, c in p.nonzero_terms()} == \
-        _naive_product(a, b)
+    assert dict(p.nonzero_terms()) == _naive_product(a, b)
 
 
 def _convolution(x, y, ns):
@@ -322,23 +273,21 @@ def _dense_coeffs(rnd, ns, fill):
 
 @st.composite
 def dense_pairs(draw):
-    """Two series on one grid D in {1, 4} whose window has ns slots on both
-    sides of series._GATE.  Each operand has ns // 2 nonzero slots (not more
-    than half: schoolbook), one more (Karatsuba when both are) or ns; one
-    has the window's truncation, on or just off the grid, and may drop its
-    trailing zeros, the other up to three slots more."""
+    """Two series whose window has ns slots on both sides of series._GATE.
+    Each operand has ns // 2 nonzero slots (not more than half:
+    schoolbook), one more (Karatsuba when both are) or ns; one has the
+    window's truncation and may drop its trailing zeros, the other up to
+    three slots more."""
     rnd = draw(st.randoms(use_true_random=False))
-    D = draw(st.sampled_from([1, 4]))
     g = series._GATE
     ns = draw(st.sampled_from([g - 1, g, g + 1, g + 2, 2 * g + 1, 300]))
-    T = Fraction(2 * ns - draw(st.sampled_from([0, 1])), 2 * D)
     fills = [draw(st.sampled_from([ns // 2, ns // 2 + 1, ns])) for _ in "ab"]
     a = _dense_coeffs(rnd, ns, fills[0])
     while a and not a[-1] and draw(st.booleans()):
         a.pop()
     extra = draw(st.integers(min_value=0, max_value=3))
     b = _dense_coeffs(rnd, ns + extra, fills[1])
-    pair = [FracSeries(D, T, a), FracSeries(D, T + Fraction(extra, D), b)]
+    pair = [FracSeries(1, ns, a), FracSeries(1, ns + extra, b)]
     return pair if draw(st.booleans()) else pair[::-1]
 
 
@@ -347,8 +296,8 @@ def dense_pairs(draw):
 def test_mul_matches_convolution_dense(pair):
     a, b = pair
     p = mul(a, b)
-    ns = math.ceil(min(a.T, b.T) * a.D)
-    assert (p.D, p.T) == (a.D, min(a.T, b.T))
+    ns = min(a.T, b.T)
+    assert (p.D, p.T) == (1, ns)
     assert p.coeffs == _convolution(a.coeffs, b.coeffs, ns)
 
 
@@ -421,27 +370,27 @@ def _kernel_calls(monkeypatch, a, b):
 def test_mul_dispatch_picks_the_kernel_meant_for_the_operands(monkeypatch):
     # windows of at most _SMALL slots and sparse operands: schoolbook; dense
     # operands of at most _NARROW bits together: Kronecker; wider dense
-    # ones: Karatsuba past _GATE, the dense loop below it.  D = 4 too
+    # ones: Karatsuba past _GATE, the dense loop below it
     rnd = random.Random(7)
     small, narrow, gate = series._SMALL, series._NARROW, series._GATE
     wide = narrow // 2 + 1
     cases = [
-        (small, 1, 30, 30, 0.0, "_school"),
-        (small + 1, 1, 30, 30, 0.6, "_school"),
-        (236, 4, 30, 30, 0.6, "_school"),
-        (small + 1, 1, 30, 30, 0.0, "_kronecker"),
-        (236, 1, 1, narrow - 1, 0.0, "_kronecker"),
-        (236, 4, 30, 30, 0.4, "_kronecker"),
-        (236, 1, 1, narrow, 0.0, "_short"),
-        (236, 1, wide, wide, 0.0, "_short"),
-        (gate + 1, 4, wide, wide, 0.2, "_short"),
-        (gate, 1, wide, wide, 0.0, "_dense"),
+        (small, 30, 30, 0.0, "_school"),
+        (small + 1, 30, 30, 0.6, "_school"),
+        (236, 30, 30, 0.6, "_school"),
+        (small + 1, 30, 30, 0.0, "_kronecker"),
+        (236, 1, narrow - 1, 0.0, "_kronecker"),
+        (236, 30, 30, 0.4, "_kronecker"),
+        (236, 1, narrow, 0.0, "_short"),
+        (236, wide, wide, 0.0, "_short"),
+        (gate + 1, wide, wide, 0.2, "_short"),
+        (gate, wide, wide, 0.0, "_dense"),
     ]
-    for ns, D, bx, by, zeros, kernel in cases:
-        a = FracSeries(D, Fraction(ns, D), _signed(rnd, bx, ns, zeros))
-        b = FracSeries(D, Fraction(ns, D), _signed(rnd, by, ns, zeros))
+    for ns, bx, by, zeros, kernel in cases:
+        a = FracSeries(1, ns, _signed(rnd, bx, ns, zeros))
+        b = FracSeries(1, ns, _signed(rnd, by, ns, zeros))
         p, calls = _kernel_calls(monkeypatch, a, b)
-        assert calls[0] == kernel, (ns, D, bx, by, zeros)
+        assert calls[0] == kernel, (ns, bx, by, zeros)
         assert kernel == "_short" or calls == [kernel]
         assert p.coeffs == _convolution(a.coeffs, b.coeffs, ns)
 
@@ -460,5 +409,5 @@ def test_pow_matches_repeated_mul(a, m):
         with pytest.raises(ArithmeticError):
             power(a, m)
     else:
-        one = FracSeries.constant(1, a.T, a.D)
+        one = FracSeries.constant(1, a.T)
         assert mul(power(a, m), binary_power(a, -m)) == one
