@@ -95,17 +95,18 @@ def _cmd_extremal(args) -> str:
 
 
 def _cmd_crossover(args) -> str:
-    from . import extremal
-    res = extremal.crossover_scan(args.k, getattr(args, "from"),
-                                  args.to, workers=args.workers)
+    # json prints every exact beta; the tables print only their signs,
+    # certified by fixed-point intervals or computed exactly
     if args.format == "json":
-        return _emit_json(res.to_jsonable())
-    header = ["n", "beta1_sign", "beta2_sign"]
-    rows = [(r.n, 1 if r.beta1 > 0 else (-1 if r.beta1 < 0 else 0),
-             1 if r.beta2 > 0 else (-1 if r.beta2 < 0 else 0))
-            for r in res.rows]
-    rows.append(("first_negative", "", res.first_negative))
-    return _tabular(args, header, rows)
+        from . import extremal
+        return _emit_json(extremal.crossover_scan(
+            args.k, getattr(args, "from"), args.to,
+            workers=args.workers).to_jsonable())
+    from . import signs
+    rows, first = signs.crossover_signs(args.k, getattr(args, "from"),
+                                        args.to, workers=args.workers)
+    rows.append(("first_negative", "", first))
+    return _tabular(args, ["n", "beta1_sign", "beta2_sign"], rows)
 
 
 def _cmd_theorem1(args) -> str:

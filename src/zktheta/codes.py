@@ -276,8 +276,8 @@ def theta_substitution(code: LinearCode, T: int) -> dict:
 
 
 def theta_cosets(code: LinearCode, norm_cap: int) -> dict:
-    """Theta series of A_2k(C) up to lattice norm norm_cap, by direct
-    enumeration of rho(c) + 2k*Z^n vectors (independent of the swe route),
+    """Theta series of A_2k(C) up to lattice norm norm_cap, by counting the
+    vectors of rho(c) + 2k*Z^n word by word (independent of the swe route),
     as {r: S_r} like theta_substitution.
 
     A vector v has norm |v|^2/2k and term t^(|v|^2/4k): slot |v|^2 // 4k of
@@ -289,24 +289,29 @@ def theta_cosets(code: LinearCode, norm_cap: int) -> dict:
     if norm_cap > 12:
         raise TooLarge("norm cap restricted to <= 12")
     budget = 2 * k * norm_cap  # bound on |v|^2 in the unscaled lattice
-    # squares of the integers of [-bound, bound] by residue mod 2k, ascending
+    # {v^2: number of v} over the integers of [-bound, bound], ascending in
+    # v^2, by residue mod 2k
     bound = math.isqrt(budget)
     squares = {}
     for v in sorted(range(-bound, bound + 1), key=abs):
-        squares.setdefault(v % m, []).append(v * v)
+        sq = squares.setdefault(v % m, {})
+        sq[v * v] = sq.get(v * v, 0) + 1
+    # a word's norms are the sums of one square per coordinate, so their
+    # counts are the convolution of its coordinates' square counts, which
+    # depends only on the word's entries as a multiset
     counts = Counter()
-
-    def dfs(word, idx, used):
-        if idx == len(word):
-            counts[used] += 1
-            return
-        for sq in squares.get(word[idx], ()):
-            if used + sq > budget:
-                break
-            dfs(word, idx + 1, used + sq)
-
-    for w in enumerate_codewords(code):
-        dfs(w, 0, 0)
+    for word, times in Counter(tuple(sorted(w))
+                               for w in enumerate_codewords(code)).items():
+        norms = {0: times}
+        for x in word:
+            nxt = Counter()
+            for used, c in norms.items():
+                for sq, c_sq in squares.get(x, {}).items():
+                    if used + sq > budget:
+                        break
+                    nxt[used + sq] += c * c_sq
+            norms = nxt
+        counts.update(norms)
     # norm 0 comes only from the zero word, once per kernel element
     D, cosets = 4 * k, {}
     for e, c in counts.items():

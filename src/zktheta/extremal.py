@@ -25,7 +25,8 @@ beta*_{2(mu+2)} decide existence.  The positivity certificate reads each
 window slot as one strided dot; the Theorem 1 sweep keeps, per layer, the
 prefix of slots already certified and reads only past it, and beta1 > 0 off
 its head layer, by the equal bracket form of b_{2(mu+1)} (_theorem1_chunk).
-Everything here is exact integer arithmetic.
+Everything here is exact integer arithmetic; the signs module takes
+certified signs from the same walk operands (_tail_setup) in fixed point.
 """
 
 from __future__ import annotations
@@ -413,37 +414,65 @@ def _tail_chunk(k: int, ns_list: list) -> list:
     Z1 = E6 * E4^(2-nu) and Z2 = Z1 * E4^3.  One f0 serves the run; other
     powers of theta1 = f0^8 and h = P^(-24) come from Miller's recurrence
     over the lacunary f0c on u = t^k or P.  A run of one length leaves only
-    the two X * Z products, k products each (one per residue class), and the
-    two dots dense.  A run of two or more walks G_mu = theta1^(3mu) *
-    h^(mu+1) from the run's least mu0 by step theta1^3 * h, offset mu - mu0
-    and key nu, each giant read built by _theta_h: the b's are [t^(mu+1)]
-    G_mu * Q_nu and [t^(mu+2)] G_mu * Q_nu * w, with w = E4^3 * h and
-    Q_nu = theta1^nu * E4^(2-nu) * E6.
+    two X * Z products, k products each (one per residue class), and the
+    two dots dense.  A run of two or more walks G_mu of _tail_setup from
+    the run's least mu0 by its step, offset mu - mu0 and key nu, each giant
+    read built by _theta_h: the b's are [t^(mu+1)] G_mu * Q_nu and
+    [t^(mu+2)] G_mu * Q_nu * w.
     """
     if not ns_list:
         return []
-    T = ns_list[-1] // 24 + 3
-    f0c, e4, e6 = _theta0(k, T), eisenstein_e4(T), eisenstein_e6(T)
-    e4s = [FracSeries.constant(1, T), *itertools.accumulate([e4] * 3, mul)]
     if len(ns_list) == 1:
         n = ns_list[0]
         j, mu, nu = shape(n)
+        T, f0c, e4s, e6 = _tail_factors(k, ns_list)
         x = power(f0c, 8 * j)
         z1 = mul(e6, e4s[2 - nu])
         z2 = mul(z1, e4s[3])
         return [(n, _b_at(_coset_mul(x, z1, k), h_series(T, mu + 1), mu + 1),
                  _b_at(_coset_mul(x, z2, k), h_series(T, mu + 2), mu + 2))]
+    h, step, qs = _tail_setup(k, ns_list)
+    mu0 = ns_list[0] // 24
+    walk = _walk(lambda m, ds: (_theta_h(k, 24 * (mu0 + d), mu0 + d + 1, h.T)
+                                for d in ds), step, qs,
+                 [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
+    return [(n, _b_at(g, q, n // 24 + 1), _b_at(g, qw, n // 24 + 2))
+            for n, (g, (q, qw)) in zip(ns_list, walk)]
+
+
+def _tail_factors(k: int, ns_list: list):
+    """(T, f0c, [1, E4, E4^2, E4^3], E6) for a run of lengths, cut at
+    T = n_max // 24 + 3, past the slot mu + 2 of its longest length."""
+    T = ns_list[-1] // 24 + 3
+    f0c, e4, e6 = _theta0(k, T), eisenstein_e4(T), eisenstein_e6(T)
+    return (T, f0c,
+            [FracSeries.constant(1, T), *itertools.accumulate([e4] * 3, mul)],
+            e6)
+
+
+def _tail_setup(k: int, ns_list: list):
+    """(h, step, qs): the exact operands of a run's walk, cut at the T of
+    _tail_factors.
+
+    The run's giants are G_mu = theta1^(3mu) * h^(mu+1) = h * step^mu, step
+    = theta1^3 * h, and qs maps each nu of the run to [Q_nu, Q_nu * w], w =
+    E4^3 * h and Q_nu = theta1^nu * E4^(2-nu) * E6.  h and step have
+    positive coefficients; Q_nu has E6's mixed signs.
+    """
+    T, f0c, e4s, e6 = _tail_factors(k, ns_list)
     h = h_series(T)
     w, step = mul(e4s[3], h), _coset_mul(power(f0c, 24), h, k)
     qs = {nu: mul(_coset_mul(power(f0c, 8 * nu), e4s[2 - nu], k), e6)
           for nu in {n // 8 % 3 for n in ns_list}}
-    mu0 = ns_list[0] // 24
-    walk = _walk(lambda m, ds: (_theta_h(k, 24 * (mu0 + d), mu0 + d + 1, T)
-                                for d in ds), step,
-                 {nu: [q, mul(q, w)] for nu, q in qs.items()},
-                 [(n // 24 - mu0, n // 8 % 3) for n in ns_list])
-    return [(n, _b_at(g, q, n // 24 + 1), _b_at(g, qw, n // 24 + 2))
-            for n, (g, (q, qw)) in zip(ns_list, walk)]
+    return h, step, {nu: [q, mul(q, w)] for nu, q in qs.items()}
+
+
+def _lengths(n_from: int, n_to: int) -> list:
+    """The lengths n = 0 mod 8 of [n_from, n_to], for a crossover scan."""
+    _check_length(n_from)
+    if n_to < n_from:
+        raise InvalidRange(f"empty range {n_from}..{n_to}")
+    return list(range(n_from, n_to + 1, 8))
 
 
 def crossover_scan(k: int, n_from: int, n_to: int,
@@ -453,12 +482,8 @@ def crossover_scan(k: int, n_from: int, n_to: int,
     Reports the least n with beta2 < 0 (None if no sign change in range).
     Worker count only affects wall time; the merged table is sorted by n.
     """
-    _check_length(n_from)
-    if n_to < n_from:
-        raise InvalidRange(f"empty range {n_from}..{n_to}")
     rows = [ScanRow(n, *_betas_from_b(n, b1, b2)) for n, b1, b2 in
-            _map_chunks(_tail_chunk, k, list(range(n_from, n_to + 1, 8)),
-                        workers)]
+            _map_chunks(_tail_chunk, k, _lengths(n_from, n_to), workers)]
     first = next((r.n for r in rows if r.beta2 < 0), None)
     return ScanResult(k=k, rows=rows, first_negative=first)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 
-from .errors import ZeroConstantTerm
+from .errors import OutOfTruncation, ZeroConstantTerm
 
 
 class FracSeries:
@@ -316,9 +316,12 @@ def power(a: FracSeries, m: int) -> FracSeries:
 
 
 def differentiate(a: FracSeries) -> FracSeries:
-    """d/dt: c*t^e -> (c*e)*t^(e-1); the truncation drops by 1, to no less
-    than 1."""
-    T = max(a.T - 1, 1)
+    """d/dt: c*t^e -> (c*e)*t^(e-1); the truncation drops by 1.  A series
+    kept only through t^0 knows no coefficient of its derivative and raises
+    OutOfTruncation."""
+    if a.T == 1:
+        raise OutOfTruncation("d/dt of a series cut at t^1 knows no slot")
+    T = a.T - 1
     return FracSeries(1, T, [c * e for e, c in
                              enumerate(a.coeffs[1:T + 1], 1)])
 

@@ -267,13 +267,18 @@ from zktheta import cli
 sys.stdout = io.StringIO()
 for argv in (["e4", "--terms", "1"], ["code", "search", "--k", "2"],
              ["extremal", "--n", "24", "--k", "1"],
-             ["--workers", "1", "crossover", "--k", "1", "--from", "8",
+             ["theorem1", "--k", "1", "--nmax", "48"],
+             ["--format", "json", "crossover", "--k", "1", "--from", "8",
               "--to", "48"]):
     assert cli.run(argv) == 0, argv
+signs = "zktheta.signs" in sys.modules
+assert cli.run(["--workers", "1", "crossover", "--k", "1", "--from", "8",
+                "--to", "48"]) == 0
 loaded = sorted({"mpmath", "concurrent.futures", "zktheta.asymptotics",
                  "dataclasses", "inspect"} & (set(sys.modules) - before))
 assert cli.run(["asymptotics", "--digits", "15"]) == 0
-sys.__stdout__.write(repr((loaded, "mpmath" in sys.modules)))
+sys.__stdout__.write(repr((loaded, signs, "zktheta.signs" in sys.modules,
+                           "mpmath" in sys.modules)))
 """
 
 
@@ -282,7 +287,8 @@ def test_subcommands_import_only_their_layers():
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == repr(([], True))
+    # only text and csv crossover load the sign route
+    assert proc.stdout == repr(([], False, True, True))
 
 
 NO_FRACTIONS = """
