@@ -8,8 +8,7 @@ mpmath) only when first looked up.
 import importlib
 
 _EXPORTS = {
-    "series": ("FracSeries", "differentiate", "linear_combine", "mul",
-               "power"),
+    "series": ("FracSeries", "linear_combine", "mul", "power"),
     "modforms": ("eisenstein_e4", "h_series", "theta_f"),
     "extremal": ("ExtremalProfile", "PositivityReport", "b_coefficients",
                  "beta_stars", "crossover_scan", "eq3_value",

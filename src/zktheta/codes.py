@@ -257,7 +257,7 @@ def theta_substitution(code: LinearCode, T: int) -> dict:
     word's Euclidean weight mod 4k, so a Type II code gives {0: E4}.
     """
     from .modforms import theta_f
-    from .series import FracSeries, mul, power
+    from .series import FracSeries, linear_combine, mul, power
     k, D = code.k, 4 * code.k
     table = swe(code)
     fs = [theta_f(k, i, T) for i in range(k + 1)]
@@ -271,7 +271,7 @@ def theta_substitution(code: LinearCode, T: int) -> dict:
         for i, mult in enumerate(comp):
             if mult:
                 term = mul(term, pows[i, mult])
-        out[r] = out[r] + term if r in out else term
+        out[r] = linear_combine(out[r], term, 1, 1) if r in out else term
     return out
 
 

@@ -244,7 +244,7 @@ def extremal_theta(n: int, k: int, T: int):
     brute_delta."""
     from zktheta.extremal import b_coefficients, shape
     from zktheta.modforms import eisenstein_e4
-    from zktheta.series import FracSeries, mul, power
+    from zktheta.series import FracSeries, linear_combine, mul, power
 
     j, mu, _ = shape(n)
     if T <= mu + 2:
@@ -253,7 +253,7 @@ def extremal_theta(n: int, k: int, T: int):
     u = mul(FracSeries(1, T, brute_delta(T)), power(e4, -3))
     acc = FracSeries.constant(0, T)
     for bs in reversed(b_coefficients(n, k)):
-        acc = mul(acc, u) + bs
+        acc = linear_combine(mul(acc, u), FracSeries.constant(bs, T), 1, 1)
     return mul(power(e4, j), acc)
 
 

@@ -30,7 +30,7 @@ from zktheta.extremal import (
     theorem1_sweep,
 )
 from zktheta.modforms import eisenstein_e4, h_series
-from zktheta.series import FracSeries, differentiate, mul, power
+from zktheta.series import FracSeries, euler_scaled, linear_combine, mul, power
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -201,13 +201,15 @@ def test_criterion_8_property_suites():
         c = FracSeries(1, 20, [rng.randint(-30, 30) for _ in range(12)])
         laws &= mul(a, b) == mul(b, a)
         laws &= mul(mul(a, b), c) == mul(a, mul(b, c))
-        laws &= mul(a, b + c) == mul(a, b) + mul(a, c)
-        laws &= differentiate(mul(a, b)) == \
-            mul(differentiate(a), b) + mul(a, differentiate(b))
+        laws &= mul(a, linear_combine(b, c, 1, 1)) == \
+            linear_combine(mul(a, b), mul(a, c), 1, 1)
+        # t*(ab)' = a*(t*b') + (t*a')*b
+        laws &= euler_scaled(mul(a, b)) == \
+            linear_combine(mul(a, euler_scaled(b)), mul(euler_scaled(a), b),
+                           1, 1)
 
     # lattice double-sum oracle for the derivative bracket
     from test_extremal import eq2_double_sum
-    from zktheta.series import euler_scaled, linear_combine
 
     eq2 = True
     for s in range(4):

@@ -376,6 +376,8 @@ BENCH = SRC.parent / "perfbench"
     (["theorem1", "--k", "6", "--nmax", "240"], True),
     (["extremal", "--n", "2400", "--k", "3"], True),
     (["code", "search", "--k", "2"], False),
+    # the benchmark query whose products reach the Karatsuba short product
+    (["--format", "csv", "ratio", "--k", "1", "--n-list", "2400,4800"], True),
 ])
 def test_benchmark_tracer_keeps_stdout(argv, exact, tmp_path):
     # the benchmark runs each invocation through perfbench/child.py, which
