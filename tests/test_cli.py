@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,84 @@ def test_repeat_invocations_byte_identical(argv, capsys):
     rc2, out2, _ = invoke(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+GOLDEN_ARGV = {
+    "e4": ("e4", "--terms", "5"),
+    "extremal": ("extremal", "--n", "48", "--k", "3"),
+    "crossover": ("crossover", "--k", "2", "--from", "48", "--to", "120"),
+    "theorem1": ("theorem1", "--k", "9", "--nmax", "96"),
+    "asymptotics": ("asymptotics", "--digits", "15"),
+    "ratio": ("ratio", "--k", "1", "--n-list", "48,96"),
+    "code search": ("code", "search", "--k", "2"),
+    "code verify": ("code", "verify", "--file"),  # + the k = 3 search code
+}
+
+# sha256 of stdout per (subcommand, format), of known-good output
+GOLDEN = {
+    ("e4", "text"):
+        "8da010d2a7c6d68d9bbc59789a237520fdaf33d474f57c2ec52565461c8ebc84",
+    ("e4", "csv"):
+        "25fa2e8d3e6a0055906c185a6b60acb638ac862946bb50620617e6e16876f12c",
+    ("e4", "json"):
+        "079ac19d57b64d9f8b74586c9c9377cd30c0daca5af24e1b8b9ea5a36102ff7e",
+    ("extremal", "text"):
+        "18a1237fdd9fe798e023e2b8d15a06927017edb24b193b090e626b495dc4296a",
+    ("extremal", "csv"):
+        "5021872ab976a9d228ab911365fc520e586d25679c6abef999ae3da1b6a0ddea",
+    ("extremal", "json"):
+        "a213ca297ffe0e5dd1864a40225b6c8d617c737becccc2b6d4ebcf8282157efe",
+    ("crossover", "text"):
+        "01d7e255b81c9385f4a2b09108e25522d637f65de17c36ec1f588b21ce03b97d",
+    ("crossover", "csv"):
+        "277ce4f6282e61654b71a1b22156f79829c3f14990bbd6bea01a52eb0baa0a27",
+    ("crossover", "json"):
+        "6d6f756bfb3aeca225351d4c29ffca12a74b93a3c1635980a758d705dfc9c83c",
+    ("theorem1", "text"):
+        "fa202894ec2f5e661db16a35c6d8569386c720f987eebac20f7e145cf5ee8ea1",
+    ("theorem1", "csv"):
+        "cd989d2d0fda0b43a8350612cc58860bb502c1cb3ec0c2f732970b21431d78cf",
+    ("theorem1", "json"):
+        "3df3dcf054d50d89ae97fa7267e9be90dd24cd88ee6cac6dec89742cd38379df",
+    ("asymptotics", "text"):
+        "34fc5e369991aa400ee06c4da8d04b92e58ce1ceb6222c263aa0589fedc9d9e7",
+    ("asymptotics", "csv"):
+        "302bebd275276c5437643dd58daf904e3456e6e67c7f2711fd1cd1a153a421df",
+    ("asymptotics", "json"):
+        "b408c907d2d77fa04f81c2113897fc0de6ceebd08f7faf42e5e5261da1f8994e",
+    ("ratio", "text"):
+        "f9d1149491182a3992356c052fb99363e2c239000ce51f04d00251cc91f095f5",
+    ("ratio", "csv"):
+        "fd7e5b382aed5650724095963f278e218ec6ee076cf0b82db33e0786ce348091",
+    ("ratio", "json"):
+        "ca2864d062e00187f9039376769cc21db31837738d4cb651e1248132f81cb39f",
+    ("code search", "text"):
+        "8f67b9b8028fb1ef63ab607ca13970937198cf9c5768b278677331e556b8e4ec",
+    ("code search", "csv"):
+        "8f67b9b8028fb1ef63ab607ca13970937198cf9c5768b278677331e556b8e4ec",
+    ("code search", "json"):
+        "0c26c225374af4e448ee7ee14e56be9da168dcd84f93c675e65eaa3d1fe6a860",
+    ("code verify", "text"):
+        "84e38fd40402e8bdb3c51b85a15ea78120ff84c65d178e52d0fd218b99a82815",
+    ("code verify", "csv"):
+        "b6462b0be3ba8f6119a5981268311abe1aa798572266b564f3923ffd693c59b5",
+    ("code verify", "json"):
+        "8ce7ca3474b3bb02be4933d6c99e30a8d0509e4039d782c12a30ece744be79ba",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
+def test_stdout_matches_golden_digest(command, fmt, tmp_path, capsys):
+    # every subcommand in every format, text and csv tables and the json
+    # payloads alike, pinned byte for byte
+    argv = GOLDEN_ARGV[command]
+    if command == "code verify":
+        path = tmp_path / "c8.zcode"
+        path.write_text(search_c8(3).dumps())
+        argv += (str(path),)
+    rc, out, _ = invoke(capsys, "--format", fmt, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command, fmt]
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
