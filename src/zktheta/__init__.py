@@ -11,8 +11,8 @@ _EXPORTS = {
     "series": ("FracSeries", "linear_combine", "mul", "power"),
     "modforms": ("eisenstein_e4", "h_series", "theta_f"),
     "extremal": ("ExtremalProfile", "PositivityReport", "b_coefficients",
-                 "beta_stars", "crossover_scan", "eq3_value",
-                 "positivity_certificate", "profile", "theorem1_sweep"),
+                 "beta_stars", "crossover_scan", "positivity_certificate",
+                 "profile", "theorem1_sweep"),
     "codes": ("LinearCode", "enumerate_codewords", "euclidean_weight", "rho",
               "search_c8", "swe", "theta_cosets", "theta_substitution",
               "verify_type2"),

@@ -21,21 +21,9 @@ import mpmath as mp
 from .errors import DomainError
 
 
-class SaddleData(namedtuple("SaddleData", "y0 t0 c1 c2 digits h_terms")):
-    """mpf saddle values at `digits` digits; h_terms is the product cutoff
-    used at the saddle."""
-
-    __slots__ = ()
-
-    def to_jsonable(self) -> dict:
-        return {
-            "y0": mp.nstr(self.y0, self.digits),
-            "t0": mp.nstr(self.t0, self.digits),
-            "c1": mp.nstr(self.c1, self.digits),
-            "c2": mp.nstr(self.c2, self.digits),
-            "digits": self.digits,
-            "h_terms": self.h_terms,
-        }
+# mpf saddle values at `digits` digits; h_terms is the product cutoff used
+# at the saddle
+SaddleData = namedtuple("SaddleData", "y0 t0 c1 c2 digits h_terms")
 
 
 def _product_cutoff(t: mp.mpf) -> int:
@@ -120,21 +108,10 @@ def predicted_ratio_limit(sd: SaddleData) -> mp.mpf:
         return sd.c1 * eval_e4(sd.t0) ** 3
 
 
-class RatioRow(namedtuple("RatioRow", "n ratio threshold margin")):
-    """ratio = |b_{2(mu+2)} / b_{2(mu+1)}| (exact integers divided),
-    threshold = 24*mu - 240*nu + 744 and margin = ratio - threshold, which
-    shares beta2's sign while both b-coefficients are negative, so
-    beta2 < 0 <=> margin < 0."""
-
-    __slots__ = ()
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "ratio": mp.nstr(self.ratio, 20),
-            "threshold": self.threshold,
-            "margin": mp.nstr(self.margin, 20),
-        }
+# ratio = |b_{2(mu+2)} / b_{2(mu+1)}| (exact integers divided), threshold =
+# 24*mu - 240*nu + 744 and margin = ratio - threshold, which shares beta2's
+# sign while both b-coefficients are negative, so beta2 < 0 <=> margin < 0
+RatioRow = namedtuple("RatioRow", "n ratio threshold margin")
 
 
 def ratio_report(k: int, ns) -> list:

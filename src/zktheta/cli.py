@@ -1,9 +1,11 @@
 """Batch front end: subcommands with JSON/CSV/text output.
 
-Big integers are always emitted as decimal strings (JSON numbers would be
-silently truncated by many readers); identical invocations produce
-byte-identical output regardless of worker count.  Each handler imports
-the layers it runs, so an answer pays only for its own imports.
+The layers return plain records (namedtuples); this module alone shapes
+them into JSON, keyed by their field names.  Big integers are always
+emitted as decimal strings (JSON numbers would be silently truncated by
+many readers); identical invocations produce byte-identical output
+regardless of worker count.  Each handler imports the layers it runs, so an
+answer pays only for its own imports.
 """
 
 from __future__ import annotations
@@ -18,6 +20,16 @@ from .errors import ZkThetaError
 def _emit_json(obj) -> str:
     import json
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _jsonable(record, exact=()) -> dict:
+    """record's fields by name, those named in exact (an exact integer or a
+    list of them) as decimal strings."""
+    out = record._asdict()
+    for name in exact:
+        v = out[name]
+        out[name] = [str(x) for x in v] if isinstance(v, list) else str(v)
+    return out
 
 
 def _emit_csv(header, rows) -> str:
@@ -86,7 +98,8 @@ def _cmd_extremal(args) -> str:
     from . import extremal
     # only json prints the b-list; the table needs the two tail b's
     if args.format == "json":
-        return _emit_json(extremal.profile(args.n, args.k).to_jsonable())
+        return _emit_json(_jsonable(extremal.profile(args.n, args.k),
+                                    ("b", "beta1", "beta2")))
     j, mu, nu = extremal.shape(args.n)
     beta1, beta2 = extremal.beta_stars(args.n, args.k)
     header = ["n", "k", "j", "mu", "nu", "beta1", "beta2"]
@@ -99,9 +112,10 @@ def _cmd_crossover(args) -> str:
     # certified by fixed-point intervals or computed exactly
     if args.format == "json":
         from . import extremal
-        return _emit_json(extremal.crossover_scan(
-            args.k, getattr(args, "from"), args.to,
-            workers=args.workers).to_jsonable())
+        scan = extremal.crossover_scan(args.k, getattr(args, "from"), args.to,
+                                       workers=args.workers)
+        return _emit_json(dict(scan._asdict(), rows=[
+            _jsonable(r, ("beta1", "beta2")) for r in scan.rows]))
     from . import signs
     rows, first = signs.crossover_signs(args.k, getattr(args, "from"),
                                         args.to, workers=args.workers)
@@ -114,67 +128,57 @@ def _cmd_theorem1(args) -> str:
     rows = extremal.theorem1_sweep(args.k, args.nmax, workers=args.workers)
     ok = all(r.beta1_positive and r.positivity for r in rows)
     if args.format == "json":
-        return _emit_json({
-            "k": args.k,
-            "nmax": args.nmax,
-            "all_pass": ok,
-            "rows": [{"n": r.n, "beta1_positive": r.beta1_positive,
-                      "positivity": r.positivity} for r in rows],
-        })
-    header = ["n", "beta1_positive", "positivity"]
-    out = [(r.n, r.beta1_positive, r.positivity) for r in rows]
-    out.append(("all_pass", ok, ""))
-    return _tabular(args, header, out)
+        return _emit_json({"k": args.k, "nmax": args.nmax, "all_pass": ok,
+                           "rows": [r._asdict() for r in rows]})
+    return _tabular(args, extremal.Theorem1Row._fields,
+                    rows + [("all_pass", ok, "")])
 
 
 def _cmd_asymptotics(args) -> str:
     import mpmath as mp
     from . import asymptotics
     sd = asymptotics.find_saddle(args.digits)
-    limit = asymptotics.predicted_ratio_limit(sd)
-    payload = sd.to_jsonable()
-    payload["predicted_ratio_limit"] = mp.nstr(limit, args.digits)
+    payload = {name: v if isinstance(v, int) else mp.nstr(v, sd.digits)
+               for name, v in sd._asdict().items()}
+    payload["predicted_ratio_limit"] = mp.nstr(
+        asymptotics.predicted_ratio_limit(sd), sd.digits)
     if args.format == "json":
         return _emit_json(payload)
-    header = ["field", "value"]
-    rows = sorted(payload.items())
-    return _tabular(args, header, rows)
+    return _tabular(args, ["field", "value"], sorted(payload.items()))
 
 
 def _cmd_ratio(args) -> str:
     import mpmath as mp
     from . import asymptotics
-    rows = asymptotics.ratio_report(args.k, args.n_list)
+    rows = [r._replace(ratio=mp.nstr(r.ratio, 20),
+                       margin=mp.nstr(r.margin, 20))
+            for r in asymptotics.ratio_report(args.k, args.n_list)]
     if args.format == "json":
-        return _emit_json({"k": args.k,
-                           "rows": [r.to_jsonable() for r in rows]})
-    header = ["n", "ratio", "threshold", "margin"]
-    out = [(r.n, mp.nstr(r.ratio, 20), r.threshold, mp.nstr(r.margin, 20))
-           for r in rows]
-    return _tabular(args, header, out)
+        return _emit_json({"k": args.k, "rows": [r._asdict() for r in rows]})
+    return _tabular(args, asymptotics.RatioRow._fields, rows)
+
+
+def _type2_columns(rep):
+    """(header, row) of a Type2Report: its fields and its verdict."""
+    return (*rep._fields, "is_type2"), (*rep, rep.is_type2)
 
 
 def _cmd_code_verify(args) -> str:
     from . import codes
     with open(args.file, errors="replace") as fh:
         code = codes.LinearCode.loads(fh.read())
-    rep = codes.verify_type2(code)
+    header, row = _type2_columns(codes.verify_type2(code))
     if args.format == "json":
-        return _emit_json(rep.to_jsonable())
-    header = ["self_dual", "all_weights_div_4k", "d_E", "is_type2"]
-    rows = [(rep.self_dual, rep.all_weights_div_4k, rep.d_E, rep.is_type2)]
-    return _tabular(args, header, rows)
+        return _emit_json(dict(zip(header, row)))
+    return _tabular(args, header, [row])
 
 
 def _cmd_code_search(args) -> str:
     from . import codes
     code = codes.search_c8(args.k)
     if args.format == "json":
-        return _emit_json({
-            "k": code.k, "n": code.n,
-            "rows": [list(r) for r in code.rows],
-            "report": codes.verify_type2(code).to_jsonable(),
-        })
+        report = dict(zip(*_type2_columns(codes.verify_type2(code))))
+        return _emit_json(dict(code._asdict(), report=report))
     return code.dumps()
 
 

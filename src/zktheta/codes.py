@@ -88,9 +88,10 @@ def euclidean_weight(k: int, word) -> int:
 def _plus(buf: bytes, word: list, m: int, w: int) -> bytes:
     """Every word of buf plus word, mod m, as one integer sum.
 
-    Fields are w bytes in native order and stay below 2m <= 2^(8w-1), so no
-    carry crosses a field; adding 2^(8w-1) - m sets a field's top bit
-    exactly where it is >= m, and m is taken off there.
+    Fields are w bytes in native order, m <= 2^(8w-1): a field sum stays
+    below 2m, and plus 2^(8w-1) - m below 2^(8w), so no carry crosses a
+    field; adding 2^(8w-1) - m sets a field's top bit exactly where the sum
+    is >= m, and m is taken off there.
     """
     order, top = sys.byteorder, 8 * w - 1
     tile = b"".join(x.to_bytes(w, order) for x in word)
@@ -153,14 +154,6 @@ class Type2Report(namedtuple("Type2Report",
     @property
     def is_type2(self) -> bool:
         return self.self_dual and self.all_weights_div_4k
-
-    def to_jsonable(self) -> dict:
-        return {
-            "self_dual": self.self_dual,
-            "all_weights_div_4k": self.all_weights_div_4k,
-            "d_E": self.d_E,
-            "is_type2": self.is_type2,
-        }
 
 
 def _column_sums(buf: bytes, n: int, w: int) -> memoryview:

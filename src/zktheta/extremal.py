@@ -63,33 +63,15 @@ def shape(n: int):
     return j, mu, nu
 
 
-class ExtremalProfile(namedtuple("ExtremalProfile",
-                                 "n k j mu nu b beta1 beta2")):
-    """Shape, b-list (b_{2s}, s = 0..mu+2, exact ints) and beta values."""
-
-    __slots__ = ()
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "j": self.j,
-            "mu": self.mu,
-            "nu": self.nu,
-            "b": [str(v) for v in self.b],
-            "beta1": str(self.beta1),
-            "beta2": str(self.beta2),
-        }
+# shape, b-list (b_{2s}, s = 0..mu+2, exact ints) and beta values
+ExtremalProfile = namedtuple("ExtremalProfile", "n k j mu nu b beta1 beta2")
 
 
-class PositivityReport(namedtuple(
-        "PositivityReport",
-        "n k max_exponent min_coeff min_exponent verdict")):
-    """The certificate at max_exponent = mu, its window read through t^(mu+1):
-    the least coefficient seen there, its exponent (up to mu + 1) and the
-    verdict."""
-
-    __slots__ = ()
+# the certificate at max_exponent = mu, its window read through t^(mu+1):
+# the least coefficient seen there, its exponent (up to mu + 1) and the
+# verdict
+PositivityReport = namedtuple(
+    "PositivityReport", "n k max_exponent min_coeff min_exponent verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +144,12 @@ def _b_at(x: FracSeries, y: FracSeries, s: int) -> int:
     return _coeff_of_product(x, y, s)
 
 
-def b_coefficients(n: int, k: int, extra: int = 0) -> list:
-    """b_{2s} for s = 0..mu+extra by Lagrange-Buermann: _b_at(R * w^s, s)
-    with R = theta1^j * E6 * E4^(-j-1), theta1^j = f0^(8j), walked as giant
-    R, step w and the one factor w at offset s - 1."""
-    _check_length(n)
-    if extra < 0:
-        raise ValueError("extra must be >= 0")
+def b_coefficients(n: int, k: int) -> list:
+    """b_{2s} for s = 0..mu+2 by Lagrange-Buermann: _b_at(R * w^s, s) with
+    R = theta1^j * E6 * E4^(-j-1), theta1^j = f0^(8j), walked as giant R,
+    step w and the one factor w at offset s - 1."""
     j, mu, _ = shape(n)
-    count = mu + extra + 1
+    count = mu + 3
     f0c, e4 = _theta0(k, count), eisenstein_e4(count)
     w = mul(mul(mul(e4, e4), e4), h_series(count))
     r = mul(_coset_mul(power(f0c, 8 * j), eisenstein_e6(count), k),
@@ -202,26 +181,10 @@ def _betas_from_b(n: int, b1: int, b2: int):
 def profile(n: int, k: int) -> ExtremalProfile:
     """Full per-(n, k) record: shape, b-list, beta values."""
     j, mu, nu = shape(n)
-    b = b_coefficients(n, k, extra=2)
+    b = b_coefficients(n, k)
     beta1, beta2 = _betas_from_b(n, b[mu + 1], b[mu + 2])
     return ExtremalProfile(n=n, k=k, j=j, mu=mu, nu=nu, b=b,
                            beta1=beta1, beta2=beta2)
-
-
-def eq3_value(s: int, k: int, y: int, xs):
-    """((s+2)*(1+2ky)^2 - l) / 4k as a Fraction, with l the summed square
-    norm.  (No return annotation: fractions is imported only here, so
-    integer answers never load it.)
-
-    xs supplies the s+1 free lattice coordinates; positive whenever l < s+2.
-    """
-    from fractions import Fraction
-    xs = list(xs)
-    if len(xs) != s + 1:
-        raise ValueError(f"need s+1 = {s + 1} coordinates, got {len(xs)}")
-    head = (1 + 2 * k * y) ** 2
-    l = head + sum((2 * k * x) ** 2 for x in xs)
-    return Fraction((s + 2) * head - l, 4 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +311,9 @@ def positivity_certificate(n: int, k: int) -> PositivityReport:
 ScanRow = namedtuple("ScanRow", "n beta1 beta2")
 
 
-class ScanResult(namedtuple("ScanResult", "k rows first_negative")):
-    """ScanRows sorted by n; first_negative is the least n with beta2 < 0,
-    or None."""
-
-    __slots__ = ()
-
-    def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "first_negative": self.first_negative,
-            "rows": [
-                {"n": r.n, "beta1": str(r.beta1), "beta2": str(r.beta2)}
-                for r in self.rows
-            ],
-        }
+# ScanRows sorted by n; first_negative is the least n with beta2 < 0, or
+# None
+ScanResult = namedtuple("ScanResult", "k rows first_negative")
 
 
 def _map_chunks(chunk, k: int, ns_list: list, workers: int) -> list:

@@ -3,8 +3,8 @@
 A sign needs a few bits of b_{2(mu+1)} and b_{2(mu+2)}, where the exact
 walk of extremal._tail_chunk carries its giants G_mu = theta1^(3mu) *
 h^(mu+1) = h * step^mu at full width (about 29,000 bits near n = 1.1e5).
-This route takes each run's exact operands from extremal._tail_setup and
-walks the giant as a fixed-point interval instead:
+This route takes the scan's exact operands from extremal._tail_setup, once
+for all its lengths, and walks the giant as a fixed-point interval instead:
 
   * t -> 2^(-a) t, an exact shift of a*i bits at slot i, with 2^a the
     giants' growth per slot at slot mu, 1/t0 for t0 the step's saddle,
@@ -24,8 +24,9 @@ walks the giant as a fixed-point interval instead:
 
 beta1 = -b1 and beta2 = -b2 + b1 * threshold follow by exact shifts to a
 common exponent.  The lengths whose interval contains 0 are recomputed
-exactly by extremal._tail_chunk, so every sign printed is certified or
-exact and an exact 0 prints 0.  json crossover stays on the exact route.
+exactly by extremal._tail_chunk, split over the workers, so every sign
+printed is certified or exact and an exact 0 prints 0.  json crossover
+stays on the exact route.
 """
 
 from __future__ import annotations
@@ -51,28 +52,26 @@ def crossover_signs(k: int, n_from: int, n_to: int, workers: int = 1):
     """(rows, first_negative) of the crossover scan's signs: rows of (n,
     sign of beta1, sign of beta2) for every n = 0 mod 8 in [n_from, n_to],
     signs in {-1, 0, 1}, and the least n with beta2 < 0 or None.  They equal
-    the signs of extremal.crossover_scan, over the same runs of lengths."""
-    rows = extremal._map_chunks(_sign_chunk, k,
-                                extremal._lengths(n_from, n_to), workers)
+    the signs of extremal.crossover_scan.
+
+    One interval walk covers every length; the lengths that no interval
+    decides, and a scan of one length, which has no walk to share, are
+    computed exactly by extremal._tail_chunk, cut into runs for `workers`
+    processes."""
+    ns_list, found = extremal._lengths(n_from, n_to), {}
+    if len(ns_list) > 1:
+        for n, a, b1, b2 in _intervals(k, ns_list):
+            found[n] = _beta_signs(n, a, b1, b2)
+    undecided = [n for n in ns_list if found.get(n) is None]
+    for n, b1, b2 in extremal._map_chunks(extremal._tail_chunk, k, undecided,
+                                          workers):
+        found[n] = tuple(map(_sign, extremal._betas_from_b(n, b1, b2)))
+    rows = [(n, *found[n]) for n in ns_list]
     return rows, next((n for n, _, s2 in rows if s2 < 0), None)
 
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def _sign_chunk(k: int, ns_list: list) -> list:
-    """(n, sign beta1, sign beta2) for an ascending run of lengths.  The
-    lengths that no interval decides, and a run of one length, which has
-    no walk to share, are computed exactly by one extremal._tail_chunk."""
-    found = {}
-    if len(ns_list) > 1:
-        for n, a, b1, b2 in _intervals(k, ns_list):
-            found[n] = _beta_signs(n, a, b1, b2)
-    for n, b1, b2 in extremal._tail_chunk(
-            k, [n for n in ns_list if found.get(n) is None]):
-        found[n] = tuple(map(_sign, extremal._betas_from_b(n, b1, b2)))
-    return [(n, *found[n]) for n in ns_list]
 
 
 def _intervals(k: int, ns_list: list):

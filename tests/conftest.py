@@ -34,6 +34,48 @@ def brute_force_r8(m_max: int):
     return counts
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """concurrent.futures.ProcessPoolExecutor replaced by a pool that maps in
+    this process, so that patched layers reach its runs; the list returned
+    collects each pool's max_workers."""
+    import concurrent.futures
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    return sizes
+
+
+def eq3_value(s: int, k: int, y: int, xs):
+    """((s+2)*(1+2ky)^2 - l) / 4k as a Fraction, with l the summed square
+    norm: the Eq. (3) value that criterion 8 and test_extremal sample.
+
+    xs supplies the s+1 free lattice coordinates; positive whenever l < s+2.
+    """
+    from fractions import Fraction
+
+    xs = list(xs)
+    if len(xs) != s + 1:
+        raise ValueError(f"need s+1 = {s + 1} coordinates, got {len(xs)}")
+    head = (1 + 2 * k * y) ** 2
+    l = head + sum((2 * k * x) ** 2 for x in xs)
+    return Fraction((s + 2) * head - l, 4 * k)
+
+
 def brute_theta1(k: int, T: int):
     """[t^m] theta1 for m < T, theta1 the theta series of sqrt(2k)*Z^8:
     r8(m/k) where k divides m, else 0, from brute_force_r8."""
@@ -252,7 +294,7 @@ def extremal_theta(n: int, k: int, T: int):
     e4 = eisenstein_e4(T)
     u = mul(FracSeries(1, T, brute_delta(T)), power(e4, -3))
     acc = FracSeries.constant(0, T)
-    for bs in reversed(b_coefficients(n, k)):
+    for bs in reversed(b_coefficients(n, k)[:mu + 1]):
         acc = linear_combine(mul(acc, u), FracSeries.constant(bs, T), 1, 1)
     return mul(power(e4, j), acc)
 

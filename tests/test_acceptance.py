@@ -16,16 +16,15 @@ import time
 import mpmath as mp
 
 import conftest
-from conftest import (F_at, brute_theta1, extremal_excess, extremal_theta,
-                      matching_b_list, on_v_grid, qp_F, theta_v,
-                      uncancelled_g_ratio)
+from conftest import (F_at, brute_theta1, eq3_value, extremal_excess,
+                      extremal_theta, matching_b_list, on_v_grid, qp_F,
+                      theta_v, uncancelled_g_ratio)
 from zktheta.asymptotics import find_saddle, predicted_ratio_limit, ratio_report
 from zktheta.codes import search_c8, theta_cosets, theta_substitution, verify_type2
 from zktheta.extremal import (
     b_coefficients,
     beta_stars,
     crossover_scan,
-    eq3_value,
     shape,
     theorem1_sweep,
 )
@@ -54,7 +53,7 @@ def test_criterion_2_two_path_b():
     bad = []
     for k in range(1, 7):
         for n in range(8, 241, 8):
-            if b_coefficients(n, k, 2) != matching_b_list(n, k, 2):
+            if b_coefficients(n, k) != matching_b_list(n, k, 2):
                 bad.append((n, k))
     record(2, not bad and time.time() - t0 < 60,
            f"matching vs reversion extraction, n<=240, k<=6 "

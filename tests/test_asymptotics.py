@@ -1,3 +1,4 @@
+import json
 import random
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from zktheta.asymptotics import (
     predicted_ratio_limit,
     ratio_report,
 )
+from zktheta.cli import run
 from zktheta.errors import DomainError, InvalidLength
 from zktheta.modforms import eisenstein_e4
 
@@ -178,7 +180,15 @@ def test_determinism(sd):
     assert ratio_report(2, [48])[0].ratio == ratio_report(2, [48])[0].ratio
 
 
-def test_jsonable(sd):
-    d = sd.to_jsonable()
-    assert set(d) == {"y0", "t0", "c1", "c2", "digits", "h_terms"}
+def test_jsonable(sd, capsys):
+    # the cli keys the saddle record by its fields, adds the ratio limit and
+    # prints each mpf as a string of sd.digits digits
+    assert run(["--format", "json", "asymptotics"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert set(d) == {"y0", "t0", "c1", "c2", "digits", "h_terms",
+                      "predicted_ratio_limit"}
     assert d["digits"] == 30
+    assert d["h_terms"] == sd.h_terms
+    assert d["y0"] == mp.nstr(sd.y0, 30)
+    assert d["predicted_ratio_limit"] == mp.nstr(predicted_ratio_limit(sd),
+                                                 30)

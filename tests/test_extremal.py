@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (binary_power, bracket_b_list, brute_theta1,
-                      dense_f_bracket, expand_u, extremal_excess,
+                      dense_f_bracket, eq3_value, expand_u, extremal_excess,
                       extremal_theta, lattice_certificate, matching_b_list,
                       padded_certificate, theta_v, w_powers)
 from zktheta import extremal
@@ -16,7 +16,6 @@ from zktheta.extremal import (
     b_coefficients,
     beta_stars,
     crossover_scan,
-    eq3_value,
     positivity_certificate,
     profile,
     shape,
@@ -45,8 +44,8 @@ def test_invalid_length():
 
 
 def test_b_small_cases():
-    assert b_coefficients(8, 1, 1) == [1, -224]
-    assert b_coefficients(8, 2, 1) == [1, -240]
+    assert b_coefficients(8, 1)[:2] == [1, -224]
+    assert b_coefficients(8, 2)[:2] == [1, -240]
     assert b_coefficients(24, 1)[:2] == [1, -672]
 
 
@@ -56,22 +55,22 @@ def test_b_leading_is_one():
 
 
 def test_burmann_agrees_small():
-    assert matching_b_list(8, 1, 2) == b_coefficients(8, 1, 2)
+    assert matching_b_list(8, 1, 2) == b_coefficients(8, 1)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_burmann_agrees_sweep(k):
-    # n = 408 (mu = 17) with extra = 2 walks offsets d = s - 1 = 0..18, a
+    # n = 408 (mu = 17) through b_{2(mu+2)} walks offsets d = s - 1 = 0..18, a
     # span of 19, so m = isqrt(38) = 6: the giant steps by w^6 at s = 7, 13
     # and 19, and the list ends on that freshly stepped giant
     for n in [*range(24, 241, 24), 408]:
-        assert matching_b_list(n, k, 2) == b_coefficients(n, k, 2)
+        assert matching_b_list(n, k, 2) == b_coefficients(n, k)
 
 
 def test_beta_examples():
     assert beta_stars(8, 1) == (224, 2048)
     assert beta_stars(8, 2)[0] == 240
-    b = b_coefficients(24, 1, 1)
+    b = b_coefficients(24, 1)
     assert beta_stars(24, 1)[0] == -b[2] > 0
 
 
@@ -120,7 +119,7 @@ def test_assembly_consistency(n, k):
 
 def test_b_integrality():
     for n, k in [(48, 1), (96, 4), (240, 6)]:
-        for b in b_coefficients(n, k, extra=2):
+        for b in b_coefficients(n, k):
             assert isinstance(b, int)
 
 
@@ -543,7 +542,7 @@ def test_e6_form_matches_bracket_form_oracle():
         walked = extremal._tail_chunk(k, list(ns))
         for n, row in zip(ns, walked):
             want = bracket_b_list(n, k, 2, wpows)
-            assert b_coefficients(n, k, 2) == want, (n, k)
+            assert b_coefficients(n, k) == want, (n, k)
             assert row == (n, *want[-2:]) == \
                 extremal._tail_chunk(k, [n])[0], (n, k)
 
@@ -556,7 +555,7 @@ def test_b_paths_never_form_the_theta_bracket(monkeypatch):
 
     monkeypatch.setattr(extremal, "_theta_bracket", banned)
     for k in (1, 2, 6):
-        b_coefficients(480, k, 2)
+        b_coefficients(480, k)
         extremal._tail_chunk(k, [480])
         extremal._tail_chunk(k, [480, 488, 496, 504])
     with pytest.raises(AssertionError):
@@ -719,26 +718,9 @@ def test_crossover_scan_worker_determinism():
         [(r.n, r.beta1, r.beta2) for r in par.rows]
 
 
-def test_worker_pool_capped_at_cpu_count(monkeypatch):
+def test_worker_pool_capped_at_cpu_count(in_process_pool):
     """--workers above the CPU count keeps its runs but not its processes."""
-    import concurrent.futures
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
+    sizes = in_process_pool
     cpus = os.cpu_count() or 1
     workers = cpus + 2
     # 2 * workers lengths: `workers` runs of two, more runs than CPUs

@@ -81,8 +81,50 @@ def test_tiny_precision_falls_back_to_exact_signs(monkeypatch):
 
 def test_one_length_runs_are_exact(monkeypatch):
     monkeypatch.setattr(signs, "_intervals", None)
-    assert signs._sign_chunk(1, [10152]) == [(10152, 1, -1)]
-    assert signs._sign_chunk(1, []) == []
+    assert signs.crossover_signs(1, 10152, 10152) == ([(10152, 1, -1)], 10152)
+    assert signs.crossover_signs(1, 10144, 10144, workers=3) == \
+        ([(10144, 1, 1)], None)
+
+
+def test_one_interval_walk_for_every_worker_count(monkeypatch,
+                                                  in_process_pool):
+    # the interval walk runs once over the whole scan; only the lengths it
+    # leaves undecided go to the exact route, cut into runs for the workers
+    walks, undecided, runs = [], [], []
+    intervals, beta_signs = signs._intervals, signs._beta_signs
+    tail_chunk = extremal._tail_chunk
+
+    def walked(k, ns_list):
+        walks.append(list(ns_list))
+        return intervals(k, ns_list)
+
+    def decided(n, *bounds):
+        got = beta_signs(n, *bounds)
+        if got is None:
+            undecided.append(n)
+        return got
+
+    def exact(k, ns_list):
+        runs.append(list(ns_list))
+        return tail_chunk(k, ns_list)
+
+    monkeypatch.setattr(signs, "_intervals", walked)
+    monkeypatch.setattr(signs, "_beta_signs", decided)
+    monkeypatch.setattr(extremal, "_tail_chunk", exact)
+    scan = extremal.crossover_scan(1, 10120, 10192)
+    want = [(r.n, signs._sign(r.beta1), signs._sign(r.beta2))
+            for r in scan.rows]
+    # 2 bits decide no length, so the exact route takes all ten in three
+    # runs; 24 bits leave a few, too few to split
+    for prec, n_runs, n_undecided in ((2, 3, 10), (24, 1, 2)):
+        monkeypatch.setattr(signs, "_PREC", prec)
+        del walks[:], undecided[:], runs[:]
+        rows, first = signs.crossover_signs(1, 10120, 10192, workers=3)
+        assert walks == [[r.n for r in scan.rows]], prec
+        assert len(undecided) == n_undecided, prec
+        assert len(runs) == n_runs and sum(runs, []) == undecided, prec
+        assert (rows, first) == (want, scan.first_negative), prec
+    assert len(in_process_pool) == 1  # only the three runs start a pool
 
 
 def cli_rows(capsys, fmt, workers, k, n_from, n_to):
