@@ -10,9 +10,8 @@ import importlib
 _EXPORTS = {
     "series": ("FracSeries", "linear_combine", "mul", "power"),
     "modforms": ("eisenstein_e4", "h_series", "theta_f"),
-    "extremal": ("ExtremalProfile", "PositivityReport", "b_coefficients",
-                 "beta_stars", "crossover_scan", "positivity_certificate",
-                 "profile", "theorem1_sweep"),
+    "extremal": ("ExtremalProfile", "b_coefficients", "beta_stars",
+                 "crossover_scan", "profile", "theorem1_sweep"),
     "codes": ("LinearCode", "enumerate_codewords", "euclidean_weight", "rho",
               "search_c8", "swe", "theta_cosets", "theta_substitution",
               "verify_type2"),

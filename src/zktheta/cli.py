@@ -83,8 +83,7 @@ def _int_list(text: str) -> list:
 
 def _cmd_e4(args) -> str:
     from . import modforms
-    series = modforms.eisenstein_e4(args.terms)
-    coeffs = [series.coeff_index(e) for e in range(args.terms)]
+    coeffs = modforms.eisenstein_e4(args.terms).coeffs
     if args.format == "json":
         return _emit_json({"terms": args.terms,
                            "coefficients": [str(c) for c in coeffs]})

@@ -21,10 +21,10 @@ product X * Z with such an X is one product per residue class of Z's
 exponents mod k (_coset_mul), and one slot of it is one strided dot.  The
 putative extremal theta series is sum_{s<=mu} b_{2s} E4^{j-3s} Delta^s, and
 its forced tail coefficients beta1 = beta*_{2(mu+1)}, beta2 =
-beta*_{2(mu+2)} decide existence.  The positivity certificate reads each
-window slot as one strided dot; the Theorem 1 sweep keeps, per layer, the
-prefix of slots already certified and reads only past it, and beta1 > 0 off
-its head layer, by the equal bracket form of b_{2(mu+1)} (_theorem1_chunk).
+beta*_{2(mu+2)} decide existence.  The Theorem 1 sweep reads each
+certificate window slot as one strided dot (_verdict), per layer only past
+the prefix already certified, and beta1 > 0 off its head layer, by the
+equal bracket form of b_{2(mu+1)} (_theorem1_chunk).
 Everything here is exact integer arithmetic; the signs module takes
 certified signs from the same walk operands (_tail_setup) in fixed point.
 """
@@ -67,13 +67,6 @@ def shape(n: int):
 ExtremalProfile = namedtuple("ExtremalProfile", "n k j mu nu b beta1 beta2")
 
 
-# the certificate at max_exponent = mu, its window read through t^(mu+1):
-# the least coefficient seen there, its exponent (up to mu + 1) and the
-# verdict
-PositivityReport = namedtuple(
-    "PositivityReport", "n k max_exponent min_coeff min_exponent verdict")
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -82,10 +75,7 @@ def _coeff_of_product(xc: FracSeries, y: FracSeries, e: int, k: int = 1):
     """[t^e] X*y on the integer grid, X(t) = xc(t^k): one exact dot product
     of xc with y's slots e, e - k, e - 2k, ... (X and y must be kept through
     t^e: the callers raise OutOfTruncation)."""
-    ys = y.coeffs
-    if len(ys) <= e:
-        ys = ys + [0] * (e + 1 - len(ys))
-    return sum(map(operator.mul, xc.coeffs, ys[e::-k]))
+    return sum(map(operator.mul, xc.coeffs, y.coeffs[e::-k]))
 
 
 def _coset_mul(xc: FracSeries, z: FracSeries, k: int) -> FracSeries:
@@ -96,8 +86,6 @@ def _coset_mul(xc: FracSeries, z: FracSeries, k: int) -> FracSeries:
     r of z's exponents mod k, each of which mul may take by Kronecker or
     Karatsuba.
     """
-    if k == 1:
-        return mul(xc, z)
     ns = min(k * xc.T, z.T)
     out = [0] * ns
     for r in range(min(k, ns)):
@@ -214,7 +202,7 @@ def _f_bracket(k: int, i: int, f0c: FracSeries, T: int):
     """
     D = 4 * k
     r, ns, yterms = i * i % D, D * T, theta_terms(k, i, T)
-    out = [0] * len(range(r, ns, D))
+    out = [0] * T
     for m, c0 in f0c.nonzero_terms():
         x2 = D * k * m
         for y2, ci in yterms:
@@ -243,17 +231,19 @@ def _certificate_factors(k: int, T):
 
 
 def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
-    """(verdict, least coefficient, 4k times its exponent, head, held) of
-    the window slots, exponents through mu + 1, of theta1^(j-1) =
-    th1pow(t^k) times each factor of cert (conditions:
-    positivity_certificate), each slot one strided _coeff_of_product.
-    held[0] (head layer) and held[i] (f-layer i) give the last slot through
-    which a layer is known to hold; only later slots are read, and the new
-    prefixes are returned.  The head layer comes first, slots 1..mu+1 (slot
-    0 is B(0) = 0), each entering the least coefficient, head true if it
-    holds through mu + 1; then the f-layers i = 1..k, slot s at exponent
-    s + r/4k, only nonzero slots entering; the first minimum wins.
-    held = [-1] * (k + 1) reads the whole window.
+    """(verdict, head, held) of the positivity certificate at n = 8j: the
+    layers theta1^(j-1) * F, theta1^(j-1) = th1pow(t^k), for each factor F
+    of cert, read through exponent mu + 1, one strided _coeff_of_product per
+    slot.  The head layer t * theta1^(j-1) * (theta1 E4' - theta1' E4)
+    holds if its slots 1..mu+1 are > 0 (slot 0 is B(0) = 0); head says if
+    it does.  The f-layer i = 1..k, 4k * t * f0^(8j-1) * (f0 f_i' - f0'
+    f_i) on the coset i^2/4k + Z, slot s at exponent s + r/4k, holds if its
+    window slots are >= 0 and its leading one, at i^2/4k, is > 0; past the
+    window that coefficient, w_i * i^2 (w_k = 2, else 1), is positive by
+    construction.  held[0] (head layer) and held[i] (f-layer i) give the
+    last slot through which a layer is known to hold; a layer is read from
+    the next slot to its first failing one, and the new prefixes are
+    returned.  held = [-1] * (k + 1) reads the whole window.
 
     The sweep passes the prefixes of a shorter length, with a lower power of
     theta1.  theta1 is the theta series of sqrt(2k)*Z^8: its coefficients
@@ -264,44 +254,18 @@ def _verdict(th1pow: FracSeries, cert, k: int, held: list, mu: int):
     bracket, fparts = cert
     if min(k * th1pow.T, bracket.T, *(f.T for _, f in fparts)) <= mu + 1:
         raise OutOfTruncation(f"[t^{mu + 1}] needs truncation above {mu + 1}")
-    D, min_c, min_e, out, ok = 4 * k, math.inf, None, [], True
+    D, out, ok = 4 * k, [], True
     for i, (r, f) in enumerate([(0, bracket)] + fparts):
         h = held[i] if i else max(held[0], 0)
         top = mu + (r == 0)
         for s in range(h + 1, top + 1):
-            c = _coeff_of_product(th1pow, f, s, k)
-            if h == s - 1 and (c > 0 if not i or s == i * i // D else c >= 0):
-                h = s
-            if (c or not i) and c < min_c:
-                min_c, min_e = c, s * D + r
+            if _coeff_of_product(th1pow, f, s, k) < \
+                    (1 if not i or s == i * i // D else 0):
+                break
+            h = s
         out.append(h)
         ok = ok and h >= top
-    return ok, min_c, min_e, out[0] > mu, out
-
-
-def positivity_certificate(n: int, k: int) -> PositivityReport:
-    """Check the positivity that drives the d_E bound at this (n, k).
-
-    Two layers, both exact, read through exponent mu + 1:
-      * t * theta1^(j-1) * (theta1 E4' - theta1' E4): every integer
-        t-exponent 1..mu+1 must carry a strictly positive coefficient
-        (this is the series the proof needs positive up to exponent mu).
-      * for each i = 1..k, the scaled combination
-        4k * t * f0^(8j-1) * (f0 f_i' - f0' f_i), which lives on the coset
-        i^2/4k + Z: no coefficient with exponent <= mu+1 may be negative,
-        and the leading exponent i^2/(4k) must be positive when it lies in
-        that window.  Its coefficient is w_i * i^2 > 0 (w_i = 2 for i = k,
-        else 1; f0(0) = 1), so past the window it holds by construction.
-        Exponents absent from the underlying lattice sum carry coefficient
-        zero and do not fail the certificate.
-    """
-    from fractions import Fraction
-    j, mu, nu = shape(n)
-    f0c, cert = _certificate_factors(k, mu + 2)
-    ok, min_c, min_e, _, _ = _verdict(power(f0c, 8 * (j - 1)), cert, k,
-                                      [-1] * (k + 1), mu)
-    return PositivityReport(n=n, k=k, max_exponent=mu, min_coeff=min_c,
-                            min_exponent=Fraction(min_e, 4 * k), verdict=ok)
+    return ok, out[0] > mu, out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +411,7 @@ def theorem1_sweep(k: int, n_max: int, workers: int = 1) -> list:
 
     Incremental over j along each worker's run: each certificate layer reads
     only past the prefix it has certified (_verdict), and beta1 > 0 comes off
-    the head layer (_theorem1_chunk).  Results equal the per-n operations.
+    the head layer (_theorem1_chunk).  Rows equal whole-window _verdicts.
     """
     _check_length(n_max)
     return _map_chunks(_theorem1_chunk, k, list(range(8, n_max + 1, 8)),
@@ -479,8 +443,8 @@ def _theorem1_chunk(k: int, ns_list: list) -> list:
         if mu == done:
             rows.append(Theorem1Row(n, True, True))
             continue
-        ok, _, _, head, held = _verdict(power(f0c, 8 * (j - 1)), cert, k,
-                                        held, mu)
+        ok, head, held = _verdict(power(f0c, 8 * (j - 1)), cert, k, held,
+                                  mu)
         done = mu if ok else None
         rows.append(Theorem1Row(n, head or beta_stars(n, k)[0] > 0, ok))
     return rows

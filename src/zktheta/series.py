@@ -24,10 +24,12 @@ from .errors import ZeroConstantTerm
 class FracSeries:
     """Truncated exact series sum_e c_e * t^e, kept for e < T.
 
-    Immutable by convention: operations return new objects and never write
-    into an existing coefficient list.  The name and the grid denominator
-    D, always 1, stay for perfbench/tracer.py, which wraps this constructor
-    as (self, D, T, coeffs) and reads D on every product.
+    coeffs holds exactly T slots: the constructor cuts a longer list at T
+    and pads a shorter one with zeros.  Immutable by convention: operations
+    return new objects and never write into an existing coefficient list.
+    The name and the grid denominator D, always 1, stay for
+    perfbench/tracer.py, which wraps this constructor as (self, D, T,
+    coeffs) and reads D on every product.
     """
 
     __slots__ = ("D", "T", "coeffs")
@@ -38,11 +40,11 @@ class FracSeries:
         T = operator.index(T)
         if T <= 0:
             raise ValueError("truncation must be positive")
-        if len(coeffs) > T:
-            coeffs = coeffs[:T]
+        coeffs = list(coeffs[:T])
+        coeffs += [0] * (T - len(coeffs))
         self.D = 1
         self.T = T
-        self.coeffs = list(coeffs)
+        self.coeffs = coeffs
 
     # -- constructors ------------------------------------------------------
 
@@ -61,12 +63,6 @@ class FracSeries:
         return cls.from_terms(T, {0: value})
 
     # -- basic queries -----------------------------------------------------
-
-    def coeff_index(self, e: int):
-        """Coefficient of t^e (0 if beyond stored length)."""
-        if 0 <= e < len(self.coeffs):
-            return self.coeffs[e]
-        return 0
 
     def nonzero_terms(self):
         """List of (exponent, coefficient) with coefficient != 0."""
@@ -125,13 +121,10 @@ def mul(a: FracSeries, b: FracSeries) -> FracSeries:
     ns = min(a.T, b.T)
     if ns > _SMALL:
         x, y = a.coeffs[:ns], b.coeffs[:ns]
-        if (2 * (len(x) - x.count(0)) > ns
-                and 2 * (len(y) - y.count(0)) > ns):
+        if 2 * x.count(0) < ns and 2 * y.count(0) < ns:
             if _bits(x) + _bits(y) <= _NARROW:
                 return FracSeries(1, ns, _kronecker(x, y, ns))
             if ns > _GATE:
-                x += [0] * (ns - len(x))
-                y += [0] * (ns - len(y))
                 return FracSeries(1, ns, _short(x, y, ns))
     return FracSeries(1, ns, _school(a.coeffs, b.coeffs, ns))
 

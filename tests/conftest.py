@@ -152,7 +152,7 @@ def coeff_at(a, exponent, k: int = 1):
     slot, off = divmod(Fraction(exponent) * D - r, D)
     if slot >= s.T:
         raise OutOfTruncation(f"exponent {exponent} past truncation {s.T}")
-    return s.coeff_index(slot) if slot >= 0 and not off else 0
+    return s.coeffs[slot] if slot >= 0 and not off else 0
 
 
 def on_v_grid(cosets, k: int, N: int):
@@ -406,19 +406,16 @@ def uncancelled_g_ratio(t0):
         return ratio
 
 
-def padded_certificate(n: int, k: int):
-    """(verdict, min_coeff, min_exponent) of the certificate on padded grids.
+def padded_certificate(n: int, k: int) -> bool:
+    """The verdict of the certificate on padded grids.
 
     Each f-layer 4k*t*(f0*f_i' - f0'*f_i) * f0^(8j-1) is built densely in
     v = t^(1/4k) (theta_v), with no coset bookkeeping and no use of theta1,
     and read through every power of v up to 4k*(mu+1), the window; the head
-    layer is t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions and the
-    order in which the least coefficient is found follow
-    positivity_certificate.  Both powers come from binary_power, not from
+    layer is t*theta1^(j-1)*(theta1*E4' - theta1'*E4).  Conditions follow
+    extremal._verdict.  Both powers come from binary_power, not from
     series.power.
     """
-    from fractions import Fraction
-
     from zktheta.modforms import eisenstein_e4
     from zktheta.series import FracSeries, euler_scaled, linear_combine, mul
 
@@ -427,10 +424,7 @@ def padded_certificate(n: int, k: int):
     th1 = FracSeries(1, T, brute_theta1(k, T))
     bracket = dense_theta_bracket(th1, eisenstein_e4(T))
     s1 = mul(binary_power(th1, j - 1), bracket)
-    head = [s1.coeff_index(e) for e in range(1, mu + 2)]
-    min_c = min(head)
-    min_e = Fraction(head.index(min_c) + 1)
-    ok = min_c > 0
+    ok = min(s1.coeffs[1:mu + 2]) > 0
     f0 = theta_v(k, 0, T)
     f0pow = binary_power(f0, 8 * j - 1)
     for i in range(1, k + 1):
@@ -440,13 +434,10 @@ def padded_certificate(n: int, k: int):
         pi = mul(f0pow, brk)
         window = pi.coeffs[:D * (mu + 1) + 1]
         # the leading index i^2 must be positive if it is a window index
-        lead_ok = i * i > D * (mu + 1) or pi.coeff_index(i * i) > 0
+        lead_ok = i * i > D * (mu + 1) or pi.coeffs[i * i] > 0
         if not lead_ok or min(window, default=0) < 0:
             ok = False
-        least = min((c for c in window if c), default=None)
-        if least is not None and least < min_c:
-            min_c, min_e = least, Fraction(window.index(least), D)
-    return ok, min_c, min_e
+    return ok
 
 
 def dense_f_bracket(k: int, i: int, T):
@@ -489,9 +480,9 @@ def _coset_vectors(residues, m: int, bound: int):
                 yield (x,) + rest
 
 
-def lattice_certificate(n: int, k: int):
-    """(verdict, min_coeff, min_exponent) of the certificate from lattice
-    points alone, with no zktheta code.
+def lattice_certificate(n: int, k: int) -> bool:
+    """The verdict of the certificate from lattice points alone, with no
+    zktheta code.
 
     The head layer t*theta1^(j-1)*(theta1*E4' - theta1'*E4) is
     A*t*E4' - t*A'*E4/j with A = theta1^j, the theta series
@@ -499,11 +490,9 @@ def lattice_certificate(n: int, k: int):
     sigma_3.  The f-layer i, 4k*t*f0^(n-1)*(f0*f_i' - f0'*f_i), is the sum
     of (x^2 - y^2)*t^(|p|^2/4k) over the points p = (x, y, z_1..z_(n-1))
     with x = i and y, z = 0 mod 2k: each point of norm <= 4k(mu + 1), the
-    window, adds x^2 - y^2 to its norm's slot.  Conditions and the order
-    in which the least coefficient is found follow positivity_certificate.
+    window, adds x^2 - y^2 to its norm's slot.  Conditions follow
+    extremal._verdict.
     """
-    from fractions import Fraction
-
     j, mu = n // 8, n // 24
     D = 4 * k
     e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
@@ -511,14 +500,12 @@ def lattice_certificate(n: int, k: int):
     a = [0] * (mu + 2)
     for v in _coset_vectors((0,) * n, 1, (mu + 1) // k):
         a[k * sum(x * x for x in v)] += 1
-    ok, min_c, min_e = True, None, None
+    ok = True
     for e in range(1, mu + 2):
         c, rem = divmod(sum(a[s] * e4[e - s] * (j * (e - s) - s)
                             for s in range(e + 1)), j)
         assert not rem
         ok = ok and c > 0
-        if min_c is None or c < min_c:
-            min_c, min_e = c, Fraction(e)
     for i in range(1, k + 1):
         slots = {}
         for p in _coset_vectors((i,) + (0,) * n, 2 * k, D * (mu + 1)):
@@ -526,12 +513,8 @@ def lattice_certificate(n: int, k: int):
             slots[norm] = slots.get(norm, 0) + p[0] ** 2 - p[1] ** 2
         if i * i <= D * (mu + 1) and slots.get(i * i, 0) <= 0:
             ok = False
-        for norm in sorted(slots):
-            c = slots[norm]
-            ok = ok and c >= 0
-            if c and c < min_c:
-                min_c, min_e = c, Fraction(norm, D)
-    return ok, min_c, min_e
+        ok = ok and min(slots.values(), default=0) >= 0
+    return ok
 
 
 def naive_codewords(code):

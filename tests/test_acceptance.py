@@ -70,10 +70,10 @@ def test_criterion_3_assembly_consistency():
             th = extremal_theta(n, k, T)
             th0 = power(FracSeries(1, T, brute_theta1(k, T)), n // 8)
             beta1, beta2 = beta_stars(n, k)
-            head_ok = all(th.coeff_index(e) == th0.coeff_index(e)
+            head_ok = all(th.coeffs[e] == th0.coeffs[e]
                           for e in range(mu + 1))
-            tail_ok = (th.coeff_index(mu + 1) - th0.coeff_index(mu + 1) == beta1
-                       and th.coeff_index(mu + 2) - th0.coeff_index(mu + 2) == beta2)
+            tail_ok = (th.coeffs[mu + 1] - th0.coeffs[mu + 1] == beta1
+                       and th.coeffs[mu + 2] - th0.coeffs[mu + 2] == beta2)
             if not (head_ok and tail_ok):
                 bad.append((n, k))
     record(3, not bad and time.time() - t0 < 300,
@@ -218,7 +218,7 @@ def test_criterion_8_property_suites():
                          linear_combine(mul(f0, euler_scaled(f1)),
                                         mul(euler_scaled(f0), f1), 1, -1))
             oracle = eq2_double_sum(s, k, len(series.coeffs))
-            eq2 &= all(series.coeff_index(e) == oracle.get(e, 0)
+            eq2 &= all(series.coeffs[e] == oracle.get(e, 0)
                        for e in range(len(series.coeffs)))
 
     # exact positivity samples of the per-vector certificate value

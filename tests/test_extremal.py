@@ -16,7 +16,6 @@ from zktheta.extremal import (
     b_coefficients,
     beta_stars,
     crossover_scan,
-    positivity_certificate,
     profile,
     shape,
     theorem1_sweep,
@@ -88,7 +87,7 @@ def test_extremal_theta_n8_k2_is_e4():
 
 def test_extremal_theta_coefficient_splits():
     th = extremal_theta(8, 1, 6)
-    assert th.coeff_index(1) == 16 + 224
+    assert th.coeffs[1] == 16 + 224
 
 
 def test_extremal_theta_matches_theta0_prefix():
@@ -96,7 +95,7 @@ def test_extremal_theta_matches_theta0_prefix():
     th = extremal_theta(n, k, 6)
     th0 = power(FracSeries(1, 6, brute_theta1(k, 6)), 3)
     for e in range(2):
-        assert th.coeff_index(e) == th0.coeff_index(e)
+        assert th.coeffs[e] == th0.coeffs[e]
 
 
 def test_extremal_theta_precision_guard():
@@ -112,9 +111,9 @@ def test_assembly_consistency(n, k):
     th0 = power(FracSeries(1, T, brute_theta1(k, T)), n // 8)
     beta1, beta2 = beta_stars(n, k)
     for e in range(mu + 1):
-        assert th.coeff_index(e) == th0.coeff_index(e)
-    assert th.coeff_index(mu + 1) - th0.coeff_index(mu + 1) == beta1
-    assert th.coeff_index(mu + 2) - th0.coeff_index(mu + 2) == beta2
+        assert th.coeffs[e] == th0.coeffs[e]
+    assert th.coeffs[mu + 1] - th0.coeffs[mu + 1] == beta1
+    assert th.coeffs[mu + 2] - th0.coeffs[mu + 2] == beta2
 
 
 def test_b_integrality():
@@ -125,21 +124,27 @@ def test_b_integrality():
 
 # -- positivity certificate -------------------------------------------------
 
+def _whole_window(n, k):
+    """The whole-window _verdict at length n, factors cut at mu + 2."""
+    f0c, cert = extremal._certificate_factors(k, n // 24 + 2)
+    return _verdict(power(f0c, 8 * (n // 8 - 1)), cert, k, [-1] * (k + 1),
+                    n // 24)
+
+
 def test_positivity_examples():
-    assert positivity_certificate(24, 1).verdict
-    assert positivity_certificate(48, 6).verdict
-    assert positivity_certificate(8, 1).verdict  # mu = 0 edge case
+    assert all(r.positivity for r in theorem1_sweep(1, 24))
+    assert theorem1_sweep(6, 48)[-1].positivity
+    assert theorem1_sweep(1, 8)[0].positivity  # mu = 0 edge case
 
 
 def test_positivity_report_fields():
-    rep = positivity_certificate(48, 2)
-    assert rep.max_exponent == 2
-    assert rep.min_coeff > 0
-    # the window runs through exponent mu + 1, so the least coefficient can
-    # sit past max_exponent = mu: here on f_1's slot 0, at t^(1/4)
-    rep = positivity_certificate(8, 1)
-    assert (rep.max_exponent, rep.min_coeff, rep.min_exponent,
-            rep.verdict) == (0, 2, Fraction(1, 4), True)
+    # (verdict, head, held): every layer holds through its window top, mu + 1
+    # on the head layer and on the integer coset (i = 4 at k = 4, r = 0), mu
+    # on the others
+    assert _whole_window(48, 4) == (True, True, [3, 2, 2, 2, 3])
+    # the window runs through exponent mu + 1, so at mu = 0 it reads f_1's
+    # slot 0, at t^(1/4)
+    assert _whole_window(8, 1) == (True, True, [1, 0])
 
 
 def test_positivity_matches_padded_oracle():
@@ -147,10 +152,8 @@ def test_positivity_matches_padded_oracle():
     # the leading slot of f_k lies past the window for n = 8, 16
     cases = [(k, 240) for k in range(1, 7)] + [(8, 96), (9, 96)]
     for k, n_max in cases:
-        for n in range(8, n_max + 1, 8):
-            rep = positivity_certificate(n, k)
-            assert (rep.verdict, rep.min_coeff, rep.min_exponent) == \
-                padded_certificate(n, k), (n, k)
+        for row in theorem1_sweep(k, n_max):
+            assert row.positivity == padded_certificate(row.n, k), (row.n, k)
 
 
 def test_positivity_k8_leading_slot_past_window():
@@ -158,11 +161,11 @@ def test_positivity_k8_leading_slot_past_window():
     # small n for k >= 8; its coefficient w_i * i^2 (w_k = 2, else 1) is
     # positive by construction, so the verdict is True
     for n, k in ((8, 8), (16, 9), (24, 12)):
-        assert positivity_certificate(n, k).verdict, (n, k)
+        assert theorem1_sweep(k, n)[-1].positivity, (n, k)
     for k in (8, 9):
         D = 4 * k
+        assert all(r.positivity for r in theorem1_sweep(k, 48)), k
         for n in range(8, 49, 8):
-            assert positivity_certificate(n, k).verdict, (n, k)
             # dense in v = t^(1/4k), cut just past the last leading slot
             T = k * k // D + 1
             f0 = theta_v(k, 0, T)
@@ -178,16 +181,12 @@ def test_positivity_k8_leading_slot_past_window():
 
 def test_positivity_small_n_matches_lattice_points():
     # k = 8, 9 at n <= 48, where f_k's leading slot can lie past the
-    # window, and k = 1..3, where the head and f-layers sum many points,
-    # against lattice_certificate; the sweep gives the same verdicts
+    # window, and k = 1..3, where the head and f-layers sum many points: the
+    # sweep's verdicts against lattice_certificate and the whole window
     for k, n_max in ((1, 24), (2, 24), (3, 24), (8, 48), (9, 48)):
-        sweep = theorem1_sweep(k, n_max)
-        for n in range(8, n_max + 1, 8):
-            rep = positivity_certificate(n, k)
-            want = lattice_certificate(n, k)
-            assert (rep.verdict, rep.min_coeff, rep.min_exponent) == want, \
-                (n, k)
-            assert sweep[n // 8 - 1].positivity == want[0]
+        for row in theorem1_sweep(k, n_max):
+            assert row.positivity == lattice_certificate(row.n, k), (row.n, k)
+            assert row.positivity == _whole_window(row.n, k)[0], (row.n, k)
 
 
 def test_f_bracket_off_coset_raises(monkeypatch):
@@ -372,46 +371,41 @@ def _hand_layers(mu, edit=None, k=4, T=None):
 
 
 def _hand_verdict(*args, **kwargs):
-    """(verdict, least coefficient, its exponent) of _hand_layers; _verdict
-    gives the exponent as its index on the 1/4k grid."""
-    layers = _hand_layers(*args, **kwargs)
-    ok, min_c, min_e = _verdict(*layers)[:3]
-    return ok, min_c, Fraction(min_e, 4 * layers[2])
+    """The verdict of _verdict on _hand_layers."""
+    return _verdict(*_hand_layers(*args, **kwargs))[0]
 
 
 def test_verdict_reports_head_layer():
     # head is the head layer alone: an f-layer failure leaves it True
     mu = 3
-    assert _verdict(*_hand_layers(mu))[3]
-    assert not _verdict(*_hand_layers(mu, {(0, 2): 0}))[3]
-    assert not _verdict(*_hand_layers(mu, {(0, mu + 1): -1}))[3]
-    assert _verdict(*_hand_layers(mu, {(4, mu + 1): -1}))[::3] == \
+    assert _verdict(*_hand_layers(mu))[1]
+    assert not _verdict(*_hand_layers(mu, {(0, 2): 0}))[1]
+    assert not _verdict(*_hand_layers(mu, {(0, mu + 1): -1}))[1]
+    assert _verdict(*_hand_layers(mu, {(4, mu + 1): -1}))[:2] == \
         (False, True)
     # slots at or below a layer's held prefix are not read
-    assert _verdict(*_hand_layers(mu, {(0, 2): 0})[:3], [2] * 5, mu)[3]
+    assert _verdict(*_hand_layers(mu, {(0, 2): 0})[:3], [2] * 5, mu)[1]
 
 
 def test_positivity_failing_branches():
     mu = 3
-    assert _hand_verdict(mu) == (True, 5, 1)
+    assert _hand_verdict(mu)
     # r = 0: slot mu + 1 is the exponent mu + 1, inside the window
-    assert _hand_verdict(mu, {(4, mu + 1): -1}) == \
-        (False, -1, mu + 1)
+    assert not _hand_verdict(mu, {(4, mu + 1): -1})
     # r = 1: slot mu + 1 is the exponent mu + 1 + 1/16, outside the window
-    assert _hand_verdict(mu, {(1, mu + 1): -1}) == \
-        (True, 5, 1)
+    assert _hand_verdict(mu, {(1, mu + 1): -1})
     # a non-positive leading coefficient at slot i^2 // 16
-    assert not _hand_verdict(mu, {(4, 1): 0})[0]
-    assert not _hand_verdict(mu, {(2, 0): -3})[0]
-    # the least coefficient's exponent on the coset 9/16 + Z
-    assert _hand_verdict(mu, {(3, 2): 2}) == \
-        (True, 2, Fraction(2 * 16 + 9, 16))
-    # a zero head slot fails and is the least coefficient
-    assert _hand_verdict(mu, {(0, 2): 0}) == (False, 0, 2)
+    assert not _hand_verdict(mu, {(4, 1): 0})
+    assert not _hand_verdict(mu, {(2, 0): -3})
+    # a positive slot past the leading one on the coset 9/16 + Z holds
+    assert _hand_verdict(mu, {(3, 2): 2})
+    # a zero f-layer slot past the leading one holds, a zero head slot fails
+    assert _hand_verdict(mu, {(3, 2): 0})
+    assert not _hand_verdict(mu, {(0, 2): 0})
     # k = 8, mu = 0: f_8's leading slot 64 // 32 = 2 (exponent 2) lies past
     # the window t^0..t^1, so a non-positive value there is not read
-    assert _hand_verdict(0, {(8, 2): -1}, k=8, T=3) == (True, 5, 1)
-    assert _hand_verdict(2, {(8, 2): -1}, k=8) == (False, -1, 2)
+    assert _hand_verdict(0, {(8, 2): -1}, k=8, T=3)
+    assert not _hand_verdict(2, {(8, 2): -1}, k=8)
 
 
 def test_cut_factors_raise_out_of_truncation():
@@ -503,7 +497,7 @@ def test_eq2_series_matches_lattice_sum(s, k):
     grid_cap = len(series.coeffs)
     oracle = eq2_double_sum(s, k, grid_cap)
     for e in range(grid_cap):
-        assert series.coeff_index(e) == oracle.get(e, 0)
+        assert series.coeffs[e] == oracle.get(e, 0)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -559,7 +553,7 @@ def test_b_paths_never_form_the_theta_bracket(monkeypatch):
         extremal._tail_chunk(k, [480])
         extremal._tail_chunk(k, [480, 488, 496, 504])
     with pytest.raises(AssertionError):
-        positivity_certificate(480, 2)
+        _whole_window(480, 2)
 
 
 def _giant_ends(monkeypatch, run):
@@ -683,7 +677,7 @@ def test_head_layer_implies_beta1_positive():
         for n in range(8, 481, 8):
             mu = n // 24
             head = _verdict(power(f0c, 8 * (n // 8 - 1)), cert, k,
-                            [-1] * (k + 1), mu)[3]
+                            [-1] * (k + 1), mu)[1]
             assert head, (k, n)
             assert -matching_b_list(n, k, 1)[mu + 1] > 0, (k, n)
             if n in sampled:
@@ -751,7 +745,8 @@ def test_theorem1_sweep_worker_determinism(k):
 
 
 def test_theorem1_sweep_matches_per_n_ops():
-    # the one-run sweep against the per-n operations, then against it: runs
+    # the one-run sweep against the per-n operations (beta_stars and the
+    # whole-window _verdict at each length), then against it: runs
     # starting in every nu class, each spanning two values of mu, and a
     # three-worker sweep, whose runs start at n = 8, 168 and 328.  For
     # k = 7, 8, 9 the f_1 layer fails at 11, 21, 21 of the 60 lengths, while
@@ -760,7 +755,7 @@ def test_theorem1_sweep_matches_per_n_ops():
         rows = theorem1_sweep(k, 480)
         for row in rows:
             assert row.beta1_positive == (beta_stars(row.n, k)[0] > 0)
-            assert row.positivity == positivity_certificate(row.n, k).verdict
+            assert row.positivity == _whole_window(row.n, k)[0]
         for n_from in (96, 104, 136):
             ns = range(n_from, n_from + 25, 8)
             assert extremal._theorem1_chunk(k, list(ns)) == \
@@ -822,7 +817,7 @@ def test_theorem1_chunk_matches_full_certificate(monkeypatch, k, edits, flip):
     assert flip in zip(verdicts, verdicts[1:])
     rows = extremal._theorem1_chunk(k, ns)
     assert [r.positivity for r in rows] == verdicts
-    assert called == [n for n, v in zip(ns, full) if not v[3]]
+    assert called == [n for n, v in zip(ns, full) if not v[1]]
     assert bool(called) == ((0, 12) in edits)
     for r in rows:
         if r.n in called:
@@ -906,8 +901,8 @@ def test_theorem1_chunk_rereads_only_failing_layer(monkeypatch):
     assert [r.positivity for r in rows] == [v[0] for v in full]
     want = {(0, e): 1 for e in range(1, 22)}
     want.update({(1, s): 1 for s in range(21)})
-    firsts = [v[4][1] + 1 for v in full if not v[0]]
-    assert all(v[3] for v in full) and sorted(set(firsts)) == [1, 2, 3]
+    firsts = [v[2][1] + 1 for v in full if not v[0]]
+    assert all(v[1] for v in full) and sorted(set(firsts)) == [1, 2, 3]
     for s in firsts:
         want[1, s] += 1
     reads = {}

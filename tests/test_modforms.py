@@ -105,12 +105,12 @@ def test_theta1_counts_k2(r8_counts):
     t = expand_u(power(_theta0(2, 13), 8), 2)
     for m in range(13):
         expected = r8_counts[m // 2] if m % 2 == 0 else 0
-        assert t.coeff_index(m) == expected
+        assert t.coeffs[m] == expected
 
 
 def test_theta1_constant_term():
     for k in range(1, 7):
-        assert power(_theta0(k, 3), 8).coeff_index(0) == 1
+        assert power(_theta0(k, 3), 8).coeffs[0] == 1
 
 
 def test_theta1_equals_f0_pow8():

@@ -123,6 +123,10 @@ def test_init_copies_its_list():
     a = FracSeries(1, 3, src)
     src[0] = 9
     assert a.coeffs == [1, 0, -3]
+    # every series holds exactly T slots: a short list is padded with
+    # zeros, a long one cut at T
+    assert FracSeries(1, 5, src).coeffs == [9, 0, -3, 0, 0]
+    assert FracSeries(1, 2, src).coeffs == [9, 0]
 
 
 def test_integral_truncation_is_an_int():
@@ -139,23 +143,23 @@ def test_integral_truncation_is_an_int():
 
 
 def test_pipeline_builds_only_int_coefficients(monkeypatch):
-    """Every series the production paths build holds ints only."""
+    """Every series the production paths build holds ints only, exactly T
+    of them."""
     from zktheta.codes import search_c8, theta_substitution
     from conftest import extremal_theta
-    from zktheta.extremal import (crossover_scan, positivity_certificate,
-                                  profile, theorem1_sweep)
+    from zktheta.extremal import crossover_scan, profile, theorem1_sweep
     init = FracSeries.__init__
     kinds = set()
 
     def recording_init(self, D, T, coeffs):
         init(self, D, T, coeffs)
         kinds.update(map(type, self.coeffs))
+        assert len(self.coeffs) == T
 
     monkeypatch.setattr(FracSeries, "__init__", recording_init)
     crossover_scan(2, 8, 480)
     theorem1_sweep(6, 480)
     profile(552, 3)
-    positivity_certificate(96, 4)
     extremal_theta(96, 2, 8)
     theta_substitution(search_c8(3), 4)
     assert kinds == {int}
@@ -395,10 +399,10 @@ def test_pow_matches_repeated_mul(a, m):
     """Miller's recurrence against repeated squaring with mul."""
     if m >= 0:
         assert power(a, m) == binary_power(a, m)
-    elif a.coeff_index(0) == 0:
+    elif a.coeffs[0] == 0:
         with pytest.raises(ZeroConstantTerm):
             power(a, m)
-    elif a.coeff_index(0) not in (1, -1):
+    elif a.coeffs[0] not in (1, -1):
         with pytest.raises(ArithmeticError):
             power(a, m)
     else:
