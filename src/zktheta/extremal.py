@@ -26,7 +26,8 @@ certificate window slot as one strided dot (_verdict), per layer only past
 the prefix already certified, and beta1 > 0 off its head layer, by the
 equal bracket form of b_{2(mu+1)} (_theorem1_chunk).
 Everything here is exact integer arithmetic; the signs module takes
-certified signs from the same walk operands (_tail_setup) in fixed point.
+certified signs from the same walk in fixed point, with exact h and step
+but Q_nu and Q_nu * w exact only over the short head that its dots read.
 """
 
 from __future__ import annotations
@@ -367,7 +368,8 @@ def _tail_factors(k: int, ns_list: list):
 
 def _tail_setup(k: int, ns_list: list):
     """(h, step, qs): the exact operands of a run's walk, cut at the T of
-    _tail_factors.
+    _tail_factors, for the exact route only (json crossover and the
+    lengths that the signs module's intervals leave undecided).
 
     The run's giants are G_mu = theta1^(3mu) * h^(mu+1) = h * step^mu, step
     = theta1^3 * h, and qs maps each nu of the run to [Q_nu, Q_nu * w], w =
